@@ -101,9 +101,7 @@ fn bench_pareto_sweep(c: &mut Criterion) {
         .system()
         .expect("scaled appendix-B composes");
     // The scale the sparse basis factorization unlocks: 25 SP × 2 SR ×
-    // 21 SQ = 1050 states, 25 commands — a sweep the dense-LU basis
-    // path cannot run inside any reasonable bench budget (see the
-    // `sparse_occupation` DNF record).
+    // 21 SQ = 1050 states, 25 commands.
     let huge_system = appendix_b::Config::scaled(24, 20)
         .system()
         .expect("huge appendix-B composes");

@@ -7,8 +7,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dpm_core::{CostMetric, OptimizationGoal, PolicyOptimizer, SolverKind};
 use dpm_lp::{
-    BasisUpdate, ConstraintOp, InteriorPoint, LinearProgram, LpSolver, PricingRule, RevisedSimplex,
-    Simplex,
+    ConstraintOp, InteriorPoint, LinearProgram, LpSolver, PricingRule, RevisedSimplex, Simplex,
 };
 use dpm_mdp::{DiscountedMdp, OccupationLp};
 use dpm_systems::{appendix_b, disk, toy};
@@ -159,27 +158,22 @@ fn full_sizes() -> bool {
     std::env::var_os("DPM_BENCH_FULL").is_some()
 }
 
-/// Records one revised-simplex solve of `lp` under `update`, attaching
-/// the factorization and pricing counters from a session solve to the
-/// JSON record.
+/// Records one revised-simplex solve of `lp`, attaching the
+/// factorization and pricing counters from a session solve to the JSON
+/// record.
 fn bench_revised(
     group: &mut criterion::BenchmarkGroup<'_>,
     name: &str,
     states: usize,
     lp: &LinearProgram,
-    update: BasisUpdate,
 ) {
     group.bench_with_input(BenchmarkId::new(name, states), lp, |b, lp| {
         b.iter(|| {
             RevisedSimplex::new()
-                .basis_update(update)
                 .solve(lp)
                 .expect("revised simplex solves the instance")
         });
-        let mut session = RevisedSimplex::new()
-            .basis_update(update)
-            .start(lp)
-            .expect("valid program");
+        let mut session = RevisedSimplex::new().start(lp).expect("valid program");
         let (_, report) = session.solve().expect("feasible instance");
         b.counter("pivots", report.iterations as f64);
         b.counter("refactorizations", report.refactorizations as f64);
@@ -293,49 +287,14 @@ fn bench_sparse_occupation(c: &mut Criterion) {
 
     // The 208-state acceptance instance of the sparse LP pipeline:
     // 13 SP × 2 SR × 8 SQ states, 13 commands — 2704 state–action
-    // variables with >99% sparse balance rows. Three records: the sparse
+    // variables with >99% sparse balance rows. Two records: the sparse
     // Markowitz-LU engine with Forrest–Tomlin updates (the default,
-    // `revised-simplex`), the same pivots through the PR-3 dense-LU + eta
-    // basis path (`revised-simplex-dense-lu`), and the dense tableau
-    // (`simplex`), which used to DNF here with >3×10⁵ degenerate pivots
-    // and now solves in a few hundred thanks to steepest-edge pricing and
-    // the largest-pivot ratio-test tie-break.
+    // `revised-simplex`) and the dense tableau (`simplex`), which used to
+    // DNF here with >3×10⁵ degenerate pivots and now solves in a few
+    // hundred thanks to steepest-edge pricing and the largest-pivot
+    // ratio-test tie-break.
     let (states, lp) = scaled_occupation_lp(12, 7);
-    bench_revised(
-        &mut group,
-        "revised-simplex",
-        states,
-        &lp,
-        BasisUpdate::ForrestTomlin,
-    );
-    bench_revised(
-        &mut group,
-        "revised-simplex-dense-lu",
-        states,
-        &lp,
-        BasisUpdate::DenseEta,
-    );
-    let sparse_over_dense = time_median(|| {
-        RevisedSimplex::new()
-            .basis_update(BasisUpdate::DenseEta)
-            .solve(&lp)
-            .expect("dense-LU path still solves 208 states")
-    }) / time_median(|| {
-        RevisedSimplex::new()
-            .solve(&lp)
-            .expect("sparse path solves")
-    });
-    println!(
-        "sparse_occupation: sparse-LU over dense-LU at {states} states: {sparse_over_dense:.2}x"
-    );
-    group.bench_with_input(
-        BenchmarkId::new("sparse-lu-speedup", states),
-        &lp,
-        |b, lp| {
-            b.iter(|| RevisedSimplex::new().solve(lp).expect("sparse path solves"));
-            b.counter("sparse_over_dense_lu_x", sparse_over_dense);
-        },
-    );
+    bench_revised(&mut group, "revised-simplex", states, &lp);
     group.bench_with_input(BenchmarkId::new("simplex", states), &lp, |b, lp| {
         b.iter(|| {
             let s = Simplex::new()
@@ -351,48 +310,18 @@ fn bench_sparse_occupation(c: &mut Criterion) {
     // The ≥1000-state scale-up the sparse factorization unlocks:
     // scaled(24, 20) composes 25 SP × 2 SR × 21 SQ = 1050 states and 25
     // commands — 26 250 state–action variables over a ~1050-row basis.
-    // The sparse engine solves it outright; the dense-LU basis path
-    // cannot finish inside the bench budget (each refactorization alone
-    // is O(m³) ≈ 10⁹ flops), so its record is the time burned by an
-    // explicit 200-pivot budget — a small fraction of the pivots the
-    // solve needs — labeled as such.
     let (states, lp) = scaled_occupation_lp(24, 20);
     assert!(
         states >= 1000,
         "scale acceptance instance shrank to {states} states"
     );
-    bench_revised(
-        &mut group,
-        "revised-simplex",
-        states,
-        &lp,
-        BasisUpdate::ForrestTomlin,
-    );
-    group.bench_with_input(
-        BenchmarkId::new("revised-dense-lu-dnf-200-pivot-budget", states),
-        &lp,
-        |b, lp| {
-            b.iter(|| {
-                // IterationLimit is the expected outcome being measured.
-                let _ = RevisedSimplex::new()
-                    .basis_update(BasisUpdate::DenseEta)
-                    .max_iterations(200)
-                    .solve(lp);
-            })
-        },
-    );
+    bench_revised(&mut group, "revised-simplex", states, &lp);
 
     // The scaled(48, 40)-class instance (4018 states, 196 882 variables)
     // that devex pricing unlocked; full runs only, see `full_sizes`.
     if full_sizes() {
         let (states, lp) = scaled_occupation_lp(48, 40);
-        bench_revised(
-            &mut group,
-            "revised-simplex",
-            states,
-            &lp,
-            BasisUpdate::ForrestTomlin,
-        );
+        bench_revised(&mut group, "revised-simplex", states, &lp);
     }
     group.finish();
 }

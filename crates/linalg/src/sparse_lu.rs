@@ -29,11 +29,12 @@
 //!   dense `m`-vectors accumulate per pivot.
 //!
 //! Fill-in is tracked ([`SparseLu::fill_in`]) so callers can report how
-//! far the factors drifted from the input's sparsity. Update stability is
-//! tracked too: spike entries below a relative drop tolerance are
-//! discarded during updates, and [`SparseLu::update_growth`] exposes a
-//! Bartels–Golub-style growth gauge callers use to force an early
-//! refactorization before accumulated updates lose accuracy.
+//! far the factors drifted from the input's sparsity. Updates are exact:
+//! every nonzero of the spike is installed, so the updated factors
+//! represent the new matrix up to roundoff. Update stability is tracked
+//! too: [`SparseLu::update_growth`] exposes a Bartels–Golub-style growth
+//! gauge callers use to force an early refactorization before
+//! accumulated updates lose accuracy.
 //!
 //! The analysis itself is reusable: [`SparseLu::symbolic`] exposes the
 //! pivot sequence as an [`Arc`]-shared [`SymbolicLu`], and
@@ -83,12 +84,6 @@ const PIVOT_THRESHOLD: f64 = 0.1;
 /// pivot that decays below this has genuinely degenerated and the caller
 /// falls back to a fresh Markowitz analysis.
 const REFACTOR_PIVOT_THRESHOLD: f64 = 0.01;
-
-/// Relative drop tolerance of Forrest–Tomlin updates: spike entries
-/// below this fraction of the spike's largest magnitude are discarded
-/// instead of installed. They would cost fill and solve work while
-/// carrying no significant weight; the growth gauge bounds the damage.
-const FT_DROP_TOLERANCE: f64 = 1e-12;
 
 /// How many lowest-count candidate columns the Markowitz search examines
 /// per pivot before settling (Suhl-style bounded search). Keeps pivot
@@ -433,11 +428,11 @@ impl SparseLu {
 
         // Eliminate the row spike left to right; the multipliers become a
         // row transformation and the spike column's entries fold into the
-        // new diagonal. Entries below the relative drop tolerance are
-        // discarded — they cost fill and solve work while carrying no
-        // significant weight (the growth gauge bounds the damage).
+        // new diagonal. Every nonzero is kept: an entry negligible next to
+        // the spike's largest can still be large next to the new diagonal,
+        // and dropping it would leave factors that no longer represent
+        // the matrix.
         let w_max = w.iter().fold(0.0f64, |m, &v| m.max(v.abs()));
-        let spike_max = spike.iter().fold(0.0f64, |m, &v| m.max(v.abs()));
         let mut diag = w[t];
         let mut terms: Vec<(usize, f64)> = Vec::new();
         let mut multiplier_max = 0.0f64;
@@ -445,7 +440,7 @@ impl SparseLu {
             let j = self.order[q];
             let s = spike[j];
             spike[j] = 0.0;
-            if s.abs() <= FT_DROP_TOLERANCE * spike_max {
+            if s == 0.0 {
                 continue;
             }
             let m = s / self.udiag[j];
@@ -460,11 +455,10 @@ impl SparseLu {
             return Err(LinalgError::SingularMatrix { pivot: t });
         }
 
-        // Install the spike as the new column t, dropping entries that
-        // are negligible relative to the spike's largest.
+        // Install the spike as the new column t.
         self.udiag[t] = diag;
         for (id, &wi) in w.iter().enumerate() {
-            if id != t && wi.abs() > FT_DROP_TOLERANCE * w_max {
+            if id != t && wi != 0.0 {
                 self.urows[id].push((t, wi));
                 self.ucols[t].push(id);
             }
@@ -1156,10 +1150,9 @@ mod tests {
     }
 
     #[test]
-    fn long_ft_chain_stays_accurate_with_drop_tolerance() {
-        // ROADMAP residual: a long Forrest–Tomlin chain on a denser basis
-        // must keep tracking the fresh factorization now that sub-
-        // tolerance spike entries are dropped.
+    fn long_ft_chain_stays_accurate() {
+        // A long Forrest–Tomlin chain on a denser basis must keep
+        // tracking the fresh factorization.
         let n = 12;
         let mut a = sparse_random(n, 11);
         let mut lu = SparseLu::from_columns(n, &columns_of(&a)).unwrap();
@@ -1239,30 +1232,5 @@ mod tests {
         let mut unlimited = SparseLu::from_columns(6, &cols).unwrap();
         unlimited.replace_column(1, &[(1, 3.0), (3, 0.5)]).unwrap();
         unlimited.replace_column(2, &near_dup).unwrap();
-    }
-
-    #[test]
-    fn drop_tolerance_discards_negligible_spike_entries() {
-        let a = sparse_random(10, 21);
-        let mut lu = SparseLu::from_columns(10, &columns_of(&a)).unwrap();
-        // A column whose tail entries are far below the drop tolerance
-        // relative to its head: the tiny ones must not be installed.
-        let mut with_dust: Vec<(usize, f64)> = vec![(2, 4.0), (5, -1.5)];
-        for i in [0usize, 1, 3, 7, 9] {
-            with_dust.push((i, 1e-40));
-        }
-        let mut clean = lu.clone();
-        lu.replace_column(2, &with_dust).unwrap();
-        clean.replace_column(2, &[(2, 4.0), (5, -1.5)]).unwrap();
-        assert_eq!(
-            lu.nnz_factors(),
-            clean.nnz_factors(),
-            "sub-tolerance dust must not add fill"
-        );
-        let b: Vec<f64> = (0..10).map(|i| 1.0 + i as f64 / 5.0).collect();
-        assert!(
-            vector::max_abs_diff(&lu.solve(&b).unwrap(), &clean.solve(&b).unwrap()) < 1e-12,
-            "dropping dust must not move the solution"
-        );
     }
 }

@@ -9,14 +9,13 @@
 //!
 //! * [`RevisedSimplex`] — a revised simplex method over sparse compressed
 //!   columns, with the basis maintained as a **sparse Markowitz LU**
-//!   factorization repaired in place by **Forrest–Tomlin updates** (a
-//!   product-form eta file and the legacy dense-LU path stay selectable
-//!   via [`BasisUpdate`]) and entering columns chosen by **devex pricing
-//!   over a candidate list** (Dantzig and Bland stay selectable via
-//!   [`PricingRule`]). This is the **default engine** of the policy
-//!   optimizer: occupation-measure LPs are >95% sparse and the per-pivot
-//!   cost, the factorization cost *and* the pricing cost scale with the
-//!   nonzero/candidate count, not with `m³` or the full column count.
+//!   factorization repaired in place by exact **Forrest–Tomlin updates**
+//!   and entering columns chosen by **devex pricing over a candidate
+//!   list** (Dantzig and Bland stay selectable via [`PricingRule`]). This
+//!   is the **default engine** of the policy optimizer: occupation-measure
+//!   LPs are >95% sparse and the per-pivot cost, the factorization cost
+//!   *and* the pricing cost scale with the nonzero/candidate count, not
+//!   with `m³` or the full column count.
 //! * [`Simplex`] — a two-phase primal simplex method on a dense tableau,
 //!   with steepest-edge pricing, cost perturbation and periodic
 //!   refactorization against degeneracy (see [`PivotRule`]). It detects
@@ -50,20 +49,19 @@
 //! # How to pick a solver
 //!
 //! The long-form guide — engine choice, the session/warm-start/reload
-//! lifecycle, pricing rules, basis-update schemes and [`SolveReport`]
+//! lifecycle, pricing rules, basis maintenance and [`SolveReport`]
 //! semantics, with measured scale boundaries — is `docs/SOLVERS.md` at
 //! the repository root (benchmark workflow: `docs/BENCHMARKING.md`).
 //! The short version:
 //!
 //! | situation | engine | why |
 //! |---|---|---|
-//! | occupation-measure LPs (LP2–LP4), large models | [`RevisedSimplex`] | balance rows have O(1) nonzeros per state; the sparse Markowitz-LU basis with Forrest–Tomlin updates makes pivots *and* (re)factorizations scale with nonzeros — ~6× faster than its own dense-LU mode at 208 states, and solving 1000+-state instances the dense path cannot touch |
+//! | occupation-measure LPs (LP2–LP4), large models | [`RevisedSimplex`] | balance rows have O(1) nonzeros per state; the sparse Markowitz-LU basis with Forrest–Tomlin updates makes pivots *and* (re)factorizations scale with nonzeros, so 1000+-state instances solve in well under a second |
 //! | small/dense problems, exact vertex + basis diagnostics | [`Simplex`] | simplest exact method; the dense tableau is competitive below ~100 variables and is the reference the other engines are checked against |
 //! | very degenerate or ill-conditioned instances | [`InteriorPoint`] | follows the central path instead of vertex-hopping, so degeneracy costs nothing; regularized normal equations tolerate bad conditioning |
 //! | don't know / don't care | [`RevisedSimplex`] | the default of `dpm_core::SolverKind`; the occupation-LP layer (`dpm_mdp::OccupationLp`) additionally rescues numerical failures by retrying with another engine — callers using this crate directly get no such net |
 //! | re-solving one model under a sweep of bounds | a [`SolveSession`] on [`RevisedSimplex`] | parametric right-hand-side changes re-solve by **dual simplex from the previous optimal basis** — typically a handful of pivots instead of a full two-phase cold solve, on sparse factors that are reused (and FT-updated) across the whole sweep |
 //! | re-solving as the *model itself* drifts (coefficients, not just bounds) | [`SolveSession::reload`] on [`RevisedSimplex`] | a shape-identical program reloads warm ([`ReloadKind::Warm`]): the retained basis is refactorized on the new coefficients and feasibility is repaired in a handful of pivots; a shape change degrades to a correct cold rebuild ([`ReloadKind::Cold`]) |
-//! | suspecting the basis engine / measuring it | [`RevisedSimplex`] with [`BasisUpdate::Eta`] or [`BasisUpdate::DenseEta`] | same pivot algebra through a product-form eta file (sparse LU snapshot) or the legacy dense LU — cross-checked against Forrest–Tomlin in the property suites, and the baseline the benches compare against |
 //! | suspecting the pricing / measuring it | [`RevisedSimplex::with_pricing`] with [`PricingRule::Dantzig`] or [`PricingRule::Bland`] | same pivot algebra under full-scan pricing — the cross-check devex is property-tested against, and the baseline of the `pricing_rules` bench group (devex is >2× faster at 1050 states, ~19× less column scanning at 4018) |
 //!
 //! All engines accept the same [`LinearProgram`] and return the same
@@ -130,7 +128,6 @@
 mod error;
 pub mod fault;
 mod interior_point;
-mod presolve;
 mod pricing;
 mod problem;
 mod revised_simplex;
@@ -140,10 +137,9 @@ mod solution;
 
 pub use error::LpError;
 pub use interior_point::InteriorPoint;
-pub use presolve::{presolve, PresolveReport};
 pub use pricing::PricingRule;
 pub use problem::{ConstraintOp, LinearProgram, SparseStandardForm, StandardForm};
-pub use revised_simplex::{BasisUpdate, RevisedSimplex};
+pub use revised_simplex::RevisedSimplex;
 pub use session::{
     InfeasibilityCertificate, ReloadKind, SolveBudget, SolveReport, SolveSession, Termination,
 };

@@ -17,21 +17,16 @@
 //! sparse triangular solves) built straight from the standard form's
 //! compressed columns — factorization work scales with the basis's
 //! nonzeros, not with `m³`. After a pivot that replaces basis slot `p`
-//! with entering column `q`, the factors are repaired in place by a
-//! **Forrest–Tomlin update** ([`BasisUpdate::ForrestTomlin`], the
-//! default): the spike column `L⁻¹a_q` lands in `U`, the spiked row is
-//! cycled last and re-eliminated by a short row transformation. The
-//! factors stay sparse between refactorizations, where a product-form
-//! eta file would accumulate a dense `m`-vector per pivot.
+//! with entering column `q`, the factors are repaired in place by an
+//! exact **Forrest–Tomlin update**: the spike column `L⁻¹a_q` lands in
+//! `U`, the spiked row is cycled last and re-eliminated by a short row
+//! transformation. The factors stay sparse between refactorizations.
 //!
-//! The classic eta file is retained as [`BasisUpdate::Eta`] (sparse LU
-//! snapshot + product-form etas) and the pre-sparse dense path as
-//! [`BasisUpdate::DenseEta`] (dense LU + etas) — both cross-checked
-//! against Forrest–Tomlin in the test suites, the latter kept as the
-//! benchmark baseline the sparse engine is measured against. Whatever
-//! the update scheme, every [`RevisedSimplex::refactor_interval`] pivots
-//! (default 128) the basis is refactorized from the original sparse
-//! columns, flushing accumulated roundoff and update fill.
+//! Every [`RevisedSimplex::refactor_interval`] pivots (default 128) the
+//! basis is refactorized from the original sparse columns, flushing
+//! accumulated roundoff and update fill. An update whose growth gauge
+//! passes a fixed limit, or whose new diagonal vanishes, is refused and
+//! the basis is refactorized at once.
 //!
 //! # Pricing
 //!
@@ -49,34 +44,14 @@
 
 use std::sync::Arc;
 
-use dpm_linalg::{LuDecomposition, Matrix, SparseLu, SymbolicLu};
+use dpm_linalg::{SparseLu, SymbolicLu};
 
 use crate::fault::{self, ArmedFaults};
 use crate::pricing::{Devex, DEVEX_WEIGHT_LIMIT};
 use crate::session::{
     same_shape, InfeasibilityCertificate, ReloadKind, SolveBudget, SolveReport, Termination,
 };
-use crate::simplex::PivotRule;
 use crate::{LinearProgram, LpError, LpSolution, LpSolver, PricingRule, SolveSession};
-
-/// How the revised simplex maintains its basis factorization between
-/// refactorizations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum BasisUpdate {
-    /// Sparse LU ([`dpm_linalg::SparseLu`]) with **Forrest–Tomlin
-    /// updates** of the factors on every pivot — the default: both the
-    /// factorization and the per-pivot update scale with nonzeros.
-    #[default]
-    ForrestTomlin,
-    /// Sparse LU snapshot plus a **product-form eta file**: pivots append
-    /// a dense `m`-vector eta instead of updating the factors. Simpler,
-    /// same refactorization path; kept as a cross-checked fallback.
-    Eta,
-    /// **Dense** LU snapshot plus the eta file — the pre-sparse engine
-    /// (`O(m³)` refactorization, `O(m²)` solves). Kept selectable as the
-    /// baseline the sparse basis engines are benchmarked against.
-    DenseEta,
-}
 
 /// Revised simplex method with a sparse LU-factorized basis and
 /// Forrest–Tomlin updates, operating on sparse compressed columns.
@@ -108,7 +83,6 @@ pub struct RevisedSimplex {
     max_iterations: usize,
     tolerance: f64,
     refactor_interval: usize,
-    basis_update: BasisUpdate,
     budget: SolveBudget,
 }
 
@@ -128,7 +102,6 @@ impl RevisedSimplex {
             max_iterations: 50_000,
             tolerance: 1e-9,
             refactor_interval: 128,
-            basis_update: BasisUpdate::default(),
             budget: SolveBudget::UNLIMITED,
         }
     }
@@ -158,21 +131,6 @@ impl RevisedSimplex {
         self
     }
 
-    /// Sets the pivot rule in the dense engine's vocabulary, mapped onto
-    /// the equivalent [`PricingRule`]
-    /// ([`DantzigWithBlandFallback`](PivotRule::DantzigWithBlandFallback)
-    /// → [`PricingRule::Dantzig`], which keeps the automatic Bland
-    /// fallback). Kept so code written against the pre-devex engine
-    /// compiles unchanged; new code should use [`Self::with_pricing`].
-    pub fn pivot_rule(mut self, rule: PivotRule) -> Self {
-        self.pricing = match rule {
-            PivotRule::SteepestEdge => PricingRule::Devex,
-            PivotRule::DantzigWithBlandFallback => PricingRule::Dantzig,
-            PivotRule::Bland => PricingRule::Bland,
-        };
-        self
-    }
-
     /// Sets the iteration limit (per phase).
     pub fn max_iterations(mut self, limit: usize) -> Self {
         self.max_iterations = limit;
@@ -185,17 +143,11 @@ impl RevisedSimplex {
         self
     }
 
-    /// Sets how many in-place basis updates (Forrest–Tomlin or eta)
-    /// accumulate before the basis is refactorized from scratch (see the
-    /// module docs). Clamped to ≥ 1.
+    /// Sets how many in-place Forrest–Tomlin updates accumulate before
+    /// the basis is refactorized from scratch (see the module docs).
+    /// Clamped to ≥ 1.
     pub fn refactor_interval(mut self, pivots: usize) -> Self {
         self.refactor_interval = pivots.max(1);
-        self
-    }
-
-    /// Selects the basis-maintenance scheme (see [`BasisUpdate`]).
-    pub fn basis_update(mut self, update: BasisUpdate) -> Self {
-        self.basis_update = update;
         self
     }
 
@@ -230,12 +182,7 @@ impl RevisedSimplex {
         faults: Option<ArmedFaults>,
     ) -> Result<(LpSolution, Core), LpError> {
         lp.validate()?;
-        let mut core = Core::build(
-            lp,
-            self.tolerance,
-            self.refactor_interval,
-            self.basis_update,
-        )?;
+        let mut core = Core::build(lp, self.tolerance, self.refactor_interval)?;
         core.arm(budget, faults);
         let mut iterations = 0;
 
@@ -286,54 +233,6 @@ enum Phase {
     Two,
 }
 
-/// One product-form basis update: replacing basis slot `slot` recorded the
-/// direction `d = B⁻¹ a_entering`.
-#[derive(Debug, Clone)]
-struct Eta {
-    slot: usize,
-    d: Vec<f64>,
-}
-
-/// The basis factorization behind FTRAN/BTRAN: sparse Markowitz LU (the
-/// [`BasisUpdate::ForrestTomlin`] and [`BasisUpdate::Eta`] schemes) or
-/// the legacy dense LU ([`BasisUpdate::DenseEta`]).
-#[derive(Debug, Clone)]
-enum Factors {
-    Sparse(Box<SparseLu>),
-    Dense(Box<LuDecomposition>),
-}
-
-impl Factors {
-    fn solve(&self, b: &[f64]) -> Result<Vec<f64>, LpError> {
-        let solved = match self {
-            Factors::Sparse(lu) => lu.solve(b),
-            Factors::Dense(lu) => lu.solve(b),
-        };
-        solved.map_err(|e| LpError::Numerical {
-            reason: e.to_string(),
-        })
-    }
-
-    fn solve_transposed(&self, b: &[f64]) -> Result<Vec<f64>, LpError> {
-        let solved = match self {
-            Factors::Sparse(lu) => lu.solve_transposed(b),
-            Factors::Dense(lu) => lu.solve_transposed(b),
-        };
-        solved.map_err(|e| LpError::Numerical {
-            reason: e.to_string(),
-        })
-    }
-
-    /// Fill-in of the current factors (0 for the dense path, which has no
-    /// sparsity to lose).
-    fn fill_in(&self) -> usize {
-        match self {
-            Factors::Sparse(lu) => lu.fill_in(),
-            Factors::Dense(_) => 0,
-        }
-    }
-}
-
 /// Solver state over the (row-sign-normalized) sparse standard form.
 #[derive(Debug, Clone)]
 struct Core {
@@ -360,16 +259,11 @@ struct Core {
     is_basic: Vec<bool>,
     /// Current basic-variable values `x_B` (aligned with `basis`).
     x_b: Vec<f64>,
-    /// Factorization of the snapshot basis `B₀` (kept current by
-    /// Forrest–Tomlin updates, or composed with `etas`).
-    factors: Factors,
-    /// Product-form updates applied since the last refactorization
-    /// (empty under [`BasisUpdate::ForrestTomlin`]).
-    etas: Vec<Eta>,
-    /// The configured basis-maintenance scheme.
-    update_kind: BasisUpdate,
-    /// In-place updates (Forrest–Tomlin or eta) absorbed since the last
-    /// refactorization; capped at `refactor_interval`.
+    /// Factorization of the current basis, kept current by
+    /// Forrest–Tomlin updates between refactorizations.
+    factors: Box<SparseLu>,
+    /// Forrest–Tomlin updates absorbed since the last refactorization;
+    /// capped at `refactor_interval`.
     updates_since_refactor: usize,
     tol: f64,
     refactor_interval: usize,
@@ -419,17 +313,12 @@ struct Core {
 /// A Forrest–Tomlin update whose growth gauge
 /// ([`SparseLu::update_growth`]) exceeds this bound forces an early
 /// refactorization: the factors are still nonsingular, but the spike
-/// elimination multiplied roundoff by enough that the drop tolerance can
-/// no longer be trusted (Bartels–Golub-style stability monitoring).
+/// elimination multiplied roundoff by enough that the updated factors
+/// can no longer be trusted (Bartels–Golub-style stability monitoring).
 const FT_GROWTH_LIMIT: f64 = 1e7;
 
 impl Core {
-    fn build(
-        lp: &LinearProgram,
-        tol: f64,
-        refactor_interval: usize,
-        update_kind: BasisUpdate,
-    ) -> Result<Self, LpError> {
+    fn build(lp: &LinearProgram, tol: f64, refactor_interval: usize) -> Result<Self, LpError> {
         let sf = lp.to_sparse_standard_form()?;
         let m = sf.b.len();
         let n = sf.c.len();
@@ -492,15 +381,7 @@ impl Core {
             x_b: vec![0.0; m],
             // 0×0 placeholder (never solved against); the `refactor`
             // call below installs the real initial-basis factorization.
-            factors: Factors::Sparse(Box::new(
-                SparseLu::from_columns::<Vec<(usize, f64)>>(0, &[]).map_err(|e| {
-                    LpError::Numerical {
-                        reason: e.to_string(),
-                    }
-                })?,
-            )),
-            etas: Vec::new(),
-            update_kind,
+            factors: Box::new(SparseLu::from_columns::<Vec<(usize, f64)>>(0, &[])?),
             updates_since_refactor: 0,
             tol,
             refactor_interval,
@@ -568,11 +449,8 @@ impl Core {
         Ok(())
     }
 
-    /// Rebuilds the factorization of the current basis from the pristine
-    /// sparse columns, clears the eta file, and re-solves the basic
-    /// values. Sparse schemes factorize the compressed columns directly
-    /// (Markowitz LU); only [`BasisUpdate::DenseEta`] materializes the
-    /// dense basis matrix.
+    /// Rebuilds the sparse factorization of the current basis from the
+    /// pristine columns and re-solves the basic values.
     fn refactor(&mut self) -> Result<(), LpError> {
         // Fault injection: a poisoned refactorization reports the basis
         // singular before touching the factors, modelling a numerically
@@ -587,69 +465,48 @@ impl Core {
             }
         }
         self.refactorizations += 1;
-        self.etas.clear();
         self.updates_since_refactor = 0;
         if self.m == 0 {
             self.x_b.clear();
             return Ok(());
         }
-        self.factors = match self.update_kind {
-            BasisUpdate::DenseEta => {
-                let mut basis_matrix = Matrix::zeros(self.m, self.m);
-                for (slot, &j) in self.basis.iter().enumerate() {
-                    for &(i, v) in &self.cols[j] {
-                        basis_matrix[(i, slot)] = v;
-                    }
-                }
-                Factors::Dense(Box::new(LuDecomposition::new(&basis_matrix).map_err(
-                    |e| LpError::Numerical {
-                        reason: format!("singular simplex basis: {e}"),
-                    },
-                )?))
+        let cols: Vec<&[(usize, f64)]> = self
+            .basis
+            .iter()
+            .map(|&j| self.cols[j].as_slice())
+            .collect();
+        // When the stored symbolic analysis was computed for this exact
+        // basis, skip the Markowitz search and refactorize numerically
+        // along its pivot order. Any failure (a prescribed pivot went
+        // numerically unacceptable under the drifted coefficients)
+        // silently falls back to a fresh analysis.
+        let reused = self.shared_symbolic.as_ref().and_then(|(key, symbolic)| {
+            if key == &self.basis {
+                SparseLu::from_columns_with_symbolic(symbolic, &cols).ok()
+            } else {
+                None
             }
-            BasisUpdate::ForrestTomlin | BasisUpdate::Eta => {
-                let cols: Vec<&[(usize, f64)]> = self
-                    .basis
-                    .iter()
-                    .map(|&j| self.cols[j].as_slice())
-                    .collect();
-                // When the stored symbolic analysis was computed for this
-                // exact basis, skip the Markowitz search and refactorize
-                // numerically along its pivot order. Any failure (a
-                // prescribed pivot went numerically unacceptable under
-                // the drifted coefficients) silently falls back to a
-                // fresh analysis.
-                let reused = self.shared_symbolic.as_ref().and_then(|(key, symbolic)| {
-                    if key == &self.basis {
-                        SparseLu::from_columns_with_symbolic(symbolic, &cols).ok()
-                    } else {
-                        None
-                    }
-                });
-                let mut lu = match reused {
-                    Some(lu) => {
-                        self.symbolic_reuses += 1;
-                        lu
-                    }
-                    None => {
-                        let lu = SparseLu::from_columns(self.m, &cols).map_err(|e| {
-                            LpError::Numerical {
-                                reason: format!("singular simplex basis: {e}"),
-                            }
-                        })?;
-                        self.shared_symbolic = Some((self.basis.clone(), lu.symbolic()));
-                        lu
-                    }
-                };
-                // Forrest–Tomlin updates self-limit through the factors'
-                // own growth gauge: an update that would blow past the
-                // trust bound is refused by the factorization itself
-                // (`LinalgError::UpdateRefused`) and `absorb_pivot`
-                // refactorizes instead.
-                lu.set_growth_limit(FT_GROWTH_LIMIT);
-                Factors::Sparse(Box::new(lu))
+        });
+        let mut lu = match reused {
+            Some(lu) => {
+                self.symbolic_reuses += 1;
+                lu
+            }
+            None => {
+                let lu = SparseLu::from_columns(self.m, &cols).map_err(|e| LpError::Numerical {
+                    reason: format!("singular simplex basis: {e}"),
+                })?;
+                self.shared_symbolic = Some((self.basis.clone(), lu.symbolic()));
+                lu
             }
         };
+        // Forrest–Tomlin updates self-limit through the factors' own
+        // growth gauge: an update that would blow past the trust bound is
+        // refused by the factorization itself
+        // (`LinalgError::UpdateRefused`) and `absorb_pivot` refactorizes
+        // instead.
+        lu.set_growth_limit(FT_GROWTH_LIMIT);
+        *self.factors = lu;
         self.peak_fill = self.peak_fill.max(self.factors.fill_in());
         self.x_b = self.factors.solve(&self.b)?;
         Ok(())
@@ -661,56 +518,36 @@ impl Core {
         self.updates_since_refactor == 0
     }
 
-    /// Absorbs a completed pivot (slot `p` now holds column `q`, ratio
-    /// direction `d = B⁻¹a_q`) into the factorization: Forrest–Tomlin
-    /// update, eta record, or a full refactorization when the update
-    /// budget is exhausted, the update is refused on growth, or the
-    /// update itself goes singular. Ends with the armed [`SolveBudget`]
-    /// check, so budget exhaustion surfaces at pivot granularity.
-    fn absorb_pivot(&mut self, p: usize, q: usize, d: Vec<f64>) -> Result<(), LpError> {
+    /// Absorbs a completed pivot (slot `p` now holds column `q`) into the
+    /// factorization: a Forrest–Tomlin update, or a full refactorization
+    /// when the update budget is exhausted, the update is refused on
+    /// growth, or the update itself goes singular. Ends with the armed
+    /// [`SolveBudget`] check, so budget exhaustion surfaces at pivot
+    /// granularity.
+    fn absorb_pivot(&mut self, p: usize, q: usize) -> Result<(), LpError> {
         self.pivots += 1;
-        if self.updates_since_refactor + 1 >= self.refactor_interval {
+        // Fault injection: refuse this update as if its growth gauge had
+        // tripped, exercising the refactorization path.
+        let refused = self.faults.as_ref().is_some_and(|faults| {
+            let (spent_pivots, _) = self.spent();
+            faults.refuse_update(spent_pivots as u64)
+        });
+        if refused || self.updates_since_refactor + 1 >= self.refactor_interval {
             self.refactor()?;
             return self.check_budget();
         }
-        match self.update_kind {
-            BasisUpdate::ForrestTomlin => {
-                // Fault injection: refuse this update as if its growth
-                // gauge had tripped, exercising the refactorization path.
-                let refused = match &self.faults {
-                    Some(faults) => {
-                        let (spent_pivots, _) = self.spent();
-                        faults.refuse_update(spent_pivots as u64)
-                    }
-                    None => false,
-                };
-                if refused {
-                    self.refactor()?;
-                    return self.check_budget();
-                }
-                let Factors::Sparse(lu) = &mut self.factors else {
-                    unreachable!("Forrest–Tomlin always runs on sparse factors");
-                };
-                match lu.replace_column(p, &self.cols[q]) {
-                    Ok(()) => {
-                        self.basis_updates += 1;
-                        self.updates_since_refactor += 1;
-                        self.peak_fill = self.peak_fill.max(lu.fill_in());
-                    }
-                    // The factors refused the update — growth past the
-                    // trust bound (`LinalgError::UpdateRefused`, the limit
-                    // installed by `refactor`) or a vanishing update
-                    // diagonal that would leave them singular. Either way
-                    // the repaired factors cannot be used: rebuild from
-                    // pristine columns instead.
-                    Err(_) => self.refactor()?,
-                }
-            }
-            BasisUpdate::Eta | BasisUpdate::DenseEta => {
-                self.etas.push(Eta { slot: p, d });
+        match self.factors.replace_column(p, &self.cols[q]) {
+            Ok(()) => {
                 self.basis_updates += 1;
                 self.updates_since_refactor += 1;
+                self.peak_fill = self.peak_fill.max(self.factors.fill_in());
             }
+            // The factors refused the update — growth past the trust
+            // bound (`LinalgError::UpdateRefused`, the limit installed by
+            // `refactor`) or a vanishing update diagonal that would leave
+            // them singular. Either way the repaired factors cannot be
+            // used: rebuild from pristine columns instead.
+            Err(_) => self.refactor()?,
         }
         self.check_budget()
     }
@@ -747,41 +584,20 @@ impl Core {
         acc.max(1)
     }
 
-    /// FTRAN: returns `B⁻¹ v` through the factors and the eta file.
+    /// FTRAN: returns `B⁻¹ v`.
     fn ftran(&self, v: &[f64]) -> Result<Vec<f64>, LpError> {
         if self.m == 0 {
             return Ok(Vec::new());
         }
-        let mut y = self.factors.solve(v)?;
-        for eta in &self.etas {
-            let yp = y[eta.slot] / eta.d[eta.slot];
-            for (i, (yi, &di)) in y.iter_mut().zip(&eta.d).enumerate() {
-                if i != eta.slot {
-                    *yi -= di * yp;
-                }
-            }
-            y[eta.slot] = yp;
-        }
-        Ok(y)
+        Ok(self.factors.solve(v)?)
     }
 
-    /// BTRAN: returns the `y` solving `Bᵀ y = c` (eta transposes first, in
-    /// reverse order, then the factorization).
+    /// BTRAN: returns the `y` solving `Bᵀ y = c`.
     fn btran(&self, c: &[f64]) -> Result<Vec<f64>, LpError> {
         if self.m == 0 {
             return Ok(Vec::new());
         }
-        let mut y = c.to_vec();
-        for eta in self.etas.iter().rev() {
-            let mut s = y[eta.slot];
-            for (i, (&yi, &di)) in y.iter().zip(&eta.d).enumerate() {
-                if i != eta.slot {
-                    s -= di * yi;
-                }
-            }
-            y[eta.slot] = s / eta.d[eta.slot];
-        }
-        self.factors.solve_transposed(&y)
+        Ok(self.factors.solve_transposed(c)?)
     }
 
     /// Cost of column `j` under `phase` (phase 1: artificials cost 1).
@@ -1021,9 +837,9 @@ impl Core {
 
         // Duals y = B⁻ᵀ c_B. The full-scan rules recompute them from
         // scratch every pivot; devex updates them incrementally from the
-        // ρ vector its weight update needs anyway (y' = y + (rc_q/α)·ρ,
-        // exact for any basis-maintenance scheme), re-deriving from
-        // scratch on every refactorization to flush accumulated roundoff.
+        // ρ vector its weight update needs anyway (y' = y + (rc_q/α)·ρ),
+        // re-deriving from scratch on every refactorization to flush
+        // accumulated roundoff.
         // Net triangular solves per devex pivot: one BTRAN + one FTRAN —
         // the same as Dantzig, on a fraction of the pricing work.
         let mut y = self.btran(&self.basic_costs(phase))?;
@@ -1144,8 +960,8 @@ impl Core {
             }
 
             // Apply the pivot: update basic values, basis bookkeeping,
-            // and repair the factorization (Forrest–Tomlin update, eta
-            // record, or refactorization when the budget is spent).
+            // and repair the factorization (Forrest–Tomlin update, or
+            // refactorization when the budget is spent).
             for (xi, &di) in self.x_b.iter_mut().zip(&d) {
                 *xi -= di * ratio;
             }
@@ -1153,7 +969,7 @@ impl Core {
             self.is_basic[out] = false;
             self.is_basic[q] = true;
             self.basis[p] = q;
-            self.absorb_pivot(p, q, d)?;
+            self.absorb_pivot(p, q)?;
             if self.is_fresh() {
                 // The pivot was absorbed by a refactorization (update
                 // budget spent, or a singular in-place update): flush the
@@ -1221,7 +1037,7 @@ impl Core {
     }
 
     /// Clean extraction of the final solution: refactorize (flushing
-    /// eta-file roundoff and re-solving the basic values from pristine
+    /// update roundoff and re-solving the basic values from pristine
     /// data), then read the primal point, objective and duals.
     fn extract_solution(
         &mut self,
@@ -1446,7 +1262,7 @@ impl Core {
             self.is_basic[q] = true;
             self.basis[p] = q;
             pivots_done += 1;
-            self.absorb_pivot(p, q, d)?;
+            self.absorb_pivot(p, q)?;
         }
         Err(LpError::IterationLimit { limit: max_iter })
     }
@@ -1987,8 +1803,8 @@ mod tests {
             .unwrap();
         lp.add_constraint(&[0.0, 0.0, 1.0, 0.0], ConstraintOp::Le, 1.0)
             .unwrap();
-        for rule in [PivotRule::Bland, PivotRule::DantzigWithBlandFallback] {
-            let s = RevisedSimplex::new().pivot_rule(rule).solve(&lp).unwrap();
+        for rule in [PricingRule::Bland, PricingRule::Dantzig] {
+            let s = RevisedSimplex::new().with_pricing(rule).solve(&lp).unwrap();
             assert!((s.objective() - (-0.05)).abs() < 1e-9, "rule {rule:?}");
         }
     }
@@ -2007,7 +1823,7 @@ mod tests {
     #[test]
     fn tiny_refactor_interval_still_converges() {
         // Forces a refactorization on every pivot: correctness must not
-        // depend on the eta file at all.
+        // depend on the in-place updates at all.
         let mut lp = LinearProgram::maximize(&[3.0, 5.0]);
         lp.add_constraint(&[1.0, 0.0], ConstraintOp::Le, 4.0)
             .unwrap();
@@ -2236,26 +2052,6 @@ mod tests {
         session.set_objective(&[5.0, 3.0]).unwrap();
         let (_, moved) = session.solve().unwrap();
         assert_ne!(moved.basis_signature, first.basis_signature);
-    }
-
-    #[test]
-    fn eta_and_dense_modes_match_forrest_tomlin() {
-        let mut lp = LinearProgram::minimize(&[2.0, 3.0, 1.0]);
-        lp.add_constraint(&[1.0, 1.0, 0.0], ConstraintOp::Ge, 4.0)
-            .unwrap();
-        lp.add_constraint(&[0.0, 1.0, 2.0], ConstraintOp::Ge, 3.0)
-            .unwrap();
-        let reference = RevisedSimplex::new().solve(&lp).unwrap();
-        for update in [BasisUpdate::Eta, BasisUpdate::DenseEta] {
-            let s = RevisedSimplex::new()
-                .basis_update(update)
-                .solve(&lp)
-                .unwrap();
-            assert!(
-                (s.objective() - reference.objective()).abs() < 1e-9,
-                "{update:?}"
-            );
-        }
     }
 
     #[test]

@@ -231,7 +231,7 @@ pub struct SolveReport {
     /// factorized basis).
     pub refactorizations: usize,
     /// In-place basis updates absorbed between refactorizations —
-    /// Forrest–Tomlin factor repairs or product-form eta records for
+    /// Forrest–Tomlin factor repairs for
     /// [`RevisedSimplex`](crate::RevisedSimplex), 0 for engines without a
     /// factorized basis.
     pub basis_updates: usize,

@@ -43,13 +43,13 @@ pub enum PivotRule {
 ///   recomputed from the pristine constraint data and current basis —
 ///   the dense analogue of the revised simplex's refactorization — so
 ///   Gauss–Jordan roundoff cannot compound into phantom feasibility.
-/// * **Cost perturbation** (on by default, [`Simplex::perturbation`]):
-///   both phases run against costs jittered by a tiny deterministic
-///   per-column amount to break reduced-cost ties; exact-cost cleanup
-///   passes then remove the perturbation before the solution is read
-///   off, so toggling it never changes the reported optimum. The phase-1
-///   feasibility verdict is likewise measured on the exact artificial
-///   values, and the Bland stall fallback still guarantees termination.
+/// * **Cost perturbation**: both phases run against costs jittered by a
+///   tiny deterministic per-column amount to break reduced-cost ties;
+///   exact-cost cleanup passes then remove the perturbation before the
+///   solution is read off, so it never changes the reported optimum. The
+///   phase-1 feasibility verdict is likewise measured on the exact
+///   artificial values, and the Bland stall fallback still guarantees
+///   termination.
 ///
 /// # Example
 ///
@@ -74,7 +74,6 @@ pub struct Simplex {
     pivot_rule: PivotRule,
     max_iterations: usize,
     tolerance: f64,
-    perturb: bool,
 }
 
 impl Default for Simplex {
@@ -85,29 +84,18 @@ impl Default for Simplex {
 
 impl Simplex {
     /// Creates a solver with default settings (steepest-edge pricing with
-    /// Bland fallback, cost perturbation on, tolerance `1e-9`, generous
-    /// iteration limit).
+    /// Bland fallback, tolerance `1e-9`, generous iteration limit).
     pub fn new() -> Self {
         Simplex {
             pivot_rule: PivotRule::default(),
             max_iterations: 50_000,
             tolerance: 1e-9,
-            perturb: true,
         }
     }
 
     /// Sets the pivot rule.
     pub fn pivot_rule(mut self, rule: PivotRule) -> Self {
         self.pivot_rule = rule;
-        self
-    }
-
-    /// Enables or disables the anti-degeneracy cost perturbation (on by
-    /// default; see the type-level docs). The perturbation is removed by
-    /// an exact-cost cleanup pass, so toggling this changes the pivot
-    /// trajectory, never the reported solution.
-    pub fn perturbation(mut self, on: bool) -> Self {
-        self.perturb = on;
         self
     }
 
@@ -140,9 +128,7 @@ impl LpSolver for Simplex {
     fn solve(&self, lp: &LinearProgram) -> Result<LpSolution, LpError> {
         lp.validate()?;
         let mut t = Tableau::build(lp, self.tolerance)?;
-        if self.perturb {
-            t.perturb_costs();
-        }
+        t.perturb_costs();
         let mut iterations = 0;
 
         if t.needs_phase1() {
@@ -159,7 +145,7 @@ impl LpSolver for Simplex {
             // pristine objective lacks, so a perturbed `Unbounded` with a
             // bounded original is numerical noise — fall through and let
             // the exact cleanup pass deliver the verdict.
-            Err(LpError::Unbounded) if self.perturb => {}
+            Err(LpError::Unbounded) => {}
             Err(e) => return Err(e),
         }
         // Cleanup passes: `optimize_phase2` rebuilds the objective row

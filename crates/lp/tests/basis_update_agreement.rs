@@ -1,20 +1,10 @@
-//! Property tests of the revised simplex's basis-maintenance schemes:
-//! Forrest–Tomlin factor updates, the product-form eta file, and the
-//! legacy dense-LU path run the *same pivot algebra* through different
-//! representations of `B⁻¹`, so on any LP — cold or across a warm
-//! re-solve sequence — they must produce identical solutions, objectives
-//! and duals (up to factorization roundoff).
+//! Property tests of the revised simplex's basis maintenance: exact
+//! Forrest–Tomlin factor updates between refactorizations must give the
+//! same answers as the dense tableau [`Simplex`], cold and across warm
+//! re-solve sequences, whatever the refactorization interval.
 
-use dpm_lp::{
-    BasisUpdate, ConstraintOp, LinearProgram, LpSolver, RevisedSimplex, Simplex, SolveSession,
-};
+use dpm_lp::{ConstraintOp, LinearProgram, LpSolver, RevisedSimplex, Simplex};
 use proptest::prelude::*;
-
-const SCHEMES: [BasisUpdate; 3] = [
-    BasisUpdate::ForrestTomlin,
-    BasisUpdate::Eta,
-    BasisUpdate::DenseEta,
-];
 
 /// Feasible-and-bounded-by-construction LP (see `solver_agreement.rs`),
 /// sparsified the way occupation LPs are.
@@ -53,7 +43,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn basis_update_schemes_agree_cold(
+    fn forrest_tomlin_agrees_with_tableau_cold(
         n in 2usize..9,
         m in 1usize..7,
         seed in 0u64..10_000,
@@ -64,101 +54,61 @@ proptest! {
         let lp = seeded_lp(n, m, seed);
         let dense_check = Simplex::new().solve(&lp)
             .map_err(|e| TestCaseError::fail(format!("dense tableau failed: {e}")))?;
-        let mut reference: Option<dpm_lp::LpSolution> = None;
-        for update in SCHEMES {
-            let s = RevisedSimplex::new()
-                .basis_update(update)
-                .refactor_interval(interval)
-                .solve(&lp)
-                .map_err(|e| TestCaseError::fail(format!("{update:?} failed: {e}")))?;
-            prop_assert!(
-                (s.objective() - dense_check.objective()).abs()
-                    < 1e-6 * dense_check.objective().abs().max(1.0),
-                "{update:?} objective {} vs tableau {}",
-                s.objective(),
-                dense_check.objective()
-            );
-            prop_assert!(lp.max_violation(s.x()) < 1e-7, "{update:?} infeasible point");
-            if let Some(r) = &reference {
-                // Same pivots, different B⁻¹ representation: the answers
-                // must match to factorization roundoff, duals included.
-                prop_assert!(
-                    (s.objective() - r.objective()).abs() < 1e-9,
-                    "{update:?} diverged from Forrest–Tomlin on the objective"
-                );
-                for (j, (a, b)) in s.x().iter().zip(r.x()).enumerate() {
-                    prop_assert!((a - b).abs() < 1e-8, "{update:?} x{j}: {a} vs {b}");
-                }
-                let (da, db) = (s.dual().unwrap(), r.dual().unwrap());
-                for (i, (a, b)) in da.iter().zip(db).enumerate() {
-                    prop_assert!((a - b).abs() < 1e-8, "{update:?} dual {i}: {a} vs {b}");
-                }
-            } else {
-                reference = Some(s);
-            }
-        }
+        let s = RevisedSimplex::new()
+            .refactor_interval(interval)
+            .solve(&lp)
+            .map_err(|e| TestCaseError::fail(format!("interval {interval} failed: {e}")))?;
+        prop_assert!(
+            (s.objective() - dense_check.objective()).abs()
+                < 1e-6 * dense_check.objective().abs().max(1.0),
+            "interval {interval}: objective {} vs tableau {}",
+            s.objective(),
+            dense_check.objective()
+        );
+        prop_assert!(lp.max_violation(s.x()) < 1e-7, "interval {interval}: infeasible point");
     }
 
     #[test]
-    fn basis_update_schemes_agree_across_warm_pivot_sequences(
+    fn forrest_tomlin_agrees_with_tableau_across_warm_pivot_sequences(
         n in 3usize..8,
         m in 2usize..6,
         seed in 0u64..10_000,
         // Rhs retarget sequence: each step scales one row's rhs.
         steps in proptest::collection::vec((0usize..64, 20u32..300), 1..7),
     ) {
-        let lp = seeded_lp(n, m, seed);
-        let mut sessions: Vec<(BasisUpdate, Box<dyn SolveSession>)> = SCHEMES
-            .iter()
-            .map(|&u| {
-                (
-                    u,
-                    RevisedSimplex::new()
-                        .basis_update(u)
-                        .refactor_interval(4)
-                        .start(&lp)
-                        .expect("valid program"),
-                )
-            })
-            .collect();
-        // First solves agree.
-        let mut results: Vec<Option<f64>> = Vec::new();
-        for (u, session) in &mut sessions {
-            match session.solve() {
-                Ok((s, _)) => results.push({
-                    prop_assert!(lp.max_violation(s.x()) < 1e-7, "{u:?}");
-                    Some(s.objective())
-                }),
-                Err(e) => return Err(TestCaseError::fail(format!("{u:?} cold: {e}"))),
-            }
-        }
-        // Then drive every session through the same rhs sequence; the
-        // warm dual-simplex pivot paths run on different basis
-        // representations but must stay point-for-point identical.
+        let base = seeded_lp(n, m, seed);
+        let mut lp = base.clone();
+        let mut session = RevisedSimplex::new()
+            .refactor_interval(4)
+            .start(&lp)
+            .expect("valid program");
+        let (first, _) = session
+            .solve()
+            .map_err(|e| TestCaseError::fail(format!("cold: {e}")))?;
+        prop_assert!(lp.max_violation(first.x()) < 1e-7);
+        // Drive the session through the rhs sequence; every warm
+        // dual-simplex re-solve must match a cold tableau solve of the
+        // retargeted program, verdicts included.
         let num_rows = lp.num_constraints();
         for (step, &(row, scale)) in steps.iter().enumerate() {
             let row = row % num_rows;
-            let (_, _, rhs0) = lp.constraint_entries(row);
+            let (_, _, rhs0) = base.constraint_entries(row);
             let new_rhs = rhs0 * scale as f64 / 100.0;
-            let mut outcomes: Vec<(BasisUpdate, Result<f64, dpm_lp::LpError>)> = Vec::new();
-            for (u, session) in &mut sessions {
-                session.set_rhs(row, new_rhs).unwrap();
-                outcomes.push((*u, session.solve().map(|(s, _)| s.objective())));
-            }
-            let (ref_u, ref_outcome) = &outcomes[0];
-            for (u, outcome) in &outcomes[1..] {
-                match (outcome, ref_outcome) {
-                    (Ok(a), Ok(b)) => prop_assert!(
-                        (a - b).abs() < 1e-7 * b.abs().max(1.0),
-                        "step {step}: {u:?} = {a} vs {ref_u:?} = {b}"
-                    ),
-                    (Err(ea), Err(eb)) => prop_assert_eq!(
-                        ea, eb, "step {}: verdicts diverged", step
-                    ),
-                    (a, b) => return Err(TestCaseError::fail(format!(
-                        "step {step}: {u:?} -> {a:?} but {ref_u:?} -> {b:?}"
-                    ))),
-                }
+            session.set_rhs(row, new_rhs).unwrap();
+            lp.set_rhs(row, new_rhs).unwrap();
+            let warm = session.solve().map(|(s, _)| s.objective());
+            let cold = Simplex::new().solve(&lp).map(|s| s.objective());
+            match (&warm, &cold) {
+                (Ok(a), Ok(b)) => prop_assert!(
+                    (a - b).abs() < 1e-7 * b.abs().max(1.0),
+                    "step {step}: warm {a} vs tableau {b}"
+                ),
+                (Err(ea), Err(eb)) => prop_assert_eq!(
+                    ea, eb, "step {}: verdicts diverged", step
+                ),
+                (a, b) => return Err(TestCaseError::fail(format!(
+                    "step {step}: warm -> {a:?} but tableau -> {b:?}"
+                ))),
             }
         }
     }

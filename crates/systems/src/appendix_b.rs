@@ -357,14 +357,11 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(
-        debug_assertions,
-        ignore = "release-only: the 208-state LP needs optimized code (run with --release or see the solvers bench)"
-    )]
     fn scaled_system_solves_through_the_sparse_default_path() {
         // The acceptance instance of the sparse LP pipeline: ≥200 states,
-        // solved by the default (revised simplex) engine. The optimum must
-        // beat always-on (3 W) while meeting the service constraints.
+        // solved by the default (revised simplex) engine with no rescue by
+        // another engine. The optimum must beat always-on (3 W) while
+        // meeting the service constraints.
         let system = Config::scaled(12, 7).system().unwrap();
         let solution = PolicyOptimizer::new(&system)
             .horizon(100_000.0)
@@ -372,6 +369,7 @@ mod tests {
             .max_request_loss_rate(0.05)
             .solve()
             .unwrap();
+        assert_eq!(solution.solve_report().engine, "revised-simplex");
         assert!(solution.power_per_slice() < ACTIVE_POWER);
         assert!(solution.performance_per_slice() <= 0.8 + 1e-6);
         assert!(solution.loss_per_slice() <= 0.05 + 1e-6);

@@ -2,7 +2,9 @@
 //! models, optimize them exactly, and validate against simulation — the
 //! paper's own consistency methodology (Section V).
 
-use dpm::core::{OptimizationGoal, ParetoExplorer, PolicyOptimizer, SolverKind};
+use dpm::core::{CostMetric, OptimizationGoal, ParetoExplorer, PolicyOptimizer, SolverKind};
+use dpm::lp::{LpSolver, PricingRule, RevisedSimplex};
+use dpm::mdp::{DiscountedMdp, OccupationLp};
 use dpm::sim::{SimConfig, Simulator, StochasticPolicyManager};
 use dpm::systems::{appendix_b, cpu, disk, toy, web_server};
 
@@ -265,5 +267,45 @@ fn appendix_b_sensitivity_directions() {
     assert!(
         p_large <= p_small + 1e-6,
         "larger queue should help tight loss"
+    );
+}
+
+#[test]
+fn scaled_appendix_b_lp4_solves_on_the_default_engine() {
+    // The 208-state LP4 program (minimize power, queue ≤ 0.8, loss ≤ 0.05
+    // per slice over a 1e5 horizon). The default devex solve needs exact
+    // Forrest–Tomlin updates here: dropping spike entries that are small
+    // next to the spike's largest leaves factors that no longer represent
+    // the basis, and the solve fails with a singular basis.
+    let system = appendix_b::Config::scaled(12, 7)
+        .system()
+        .expect("scaled appendix-B composes");
+    let horizon = 100_000.0;
+    let power = CostMetric::Power.matrix(&system);
+    let queue = CostMetric::QueueOccupancy.matrix(&system);
+    let loss = CostMetric::RequestLossIndicator.matrix(&system);
+    let mdp = DiscountedMdp::new(system.chain().clone(), power, 1.0 - 1.0 / horizon)
+        .expect("mdp validates");
+    let initial = system
+        .point_distribution(appendix_b::initial_state())
+        .expect("initial state exists");
+    let lp = OccupationLp::new(&mdp, &initial)
+        .expect("valid distribution")
+        .build(&[(&queue, 0.8 * horizon), (&loss, 0.05 * horizon)])
+        .expect("LP builds");
+
+    let devex = RevisedSimplex::new()
+        .solve(&lp)
+        .expect("default engine solves cold");
+    let dantzig = RevisedSimplex::new()
+        .with_pricing(PricingRule::Dantzig)
+        .solve(&lp)
+        .expect("dantzig pricing solves cold");
+    assert!(lp.max_violation(devex.x()) < 1e-7);
+    assert!(
+        (devex.objective() - dantzig.objective()).abs() < 1e-6,
+        "devex {} vs dantzig {}",
+        devex.objective(),
+        dantzig.objective()
     );
 }
