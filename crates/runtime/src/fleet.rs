@@ -400,6 +400,41 @@ pub(crate) fn flatten(sr: &ServiceRequester) -> Vec<f64> {
     flat
 }
 
+/// Phase 1 on one shard: feed every device its epoch's stream and
+/// re-fit it unless the quiet gate holds.
+fn feed_shard<S: AsRef<[u32]>>(shard: &mut [Device], streams: &[S], quiet: Option<f64>) {
+    for (device, stream) in shard.iter_mut().zip(streams) {
+        device.fit_outcome = FitOutcome::None;
+        // Quarantined devices neither feed nor fit: a device suspected
+        // of emitting garbage must not influence any model until
+        // re-admitted.
+        if device.health == DeviceHealth::Quarantined {
+            continue;
+        }
+        device.estimator.observe_stream(stream.as_ref());
+        if !device.estimator.is_ready() {
+            continue;
+        }
+        // The incremental gauge: a fitted device whose windowed counts
+        // stayed within the quiet gate of its last fit keeps fit,
+        // flattened gauge and cluster untouched — no refit, no gauge
+        // recomputation downstream.
+        if device.fit.is_some() {
+            if let (Some(gate), Some(drift)) = (quiet, device.estimator.count_drift()) {
+                if drift <= gate {
+                    device.fit_outcome = FitOutcome::Skipped;
+                    continue;
+                }
+            }
+        }
+        if let Ok(sr) = device.estimator.fit() {
+            device.flat = Some(flatten(&sr));
+            device.fit = Some(sr);
+            device.fit_outcome = FitOutcome::Refit;
+        }
+    }
+}
+
 /// Shards `N` adaptive controllers across a fixed worker pool and solves
 /// one LP per cluster of statistically close devices (see the
 /// [module docs](self)).
@@ -677,7 +712,10 @@ impl FleetController {
     /// [`Self::devices`]. Per-cluster solve failures do *not* fail the
     /// epoch: the cluster keeps its previous policy and the failure is
     /// counted in [`FleetReport::infeasible`] / [`FleetReport::errors`].
-    pub fn run_epoch(&mut self, arrivals: &[Vec<u32>]) -> Result<FleetReport, DpmError> {
+    pub fn run_epoch<S: AsRef<[u32]> + Sync>(
+        &mut self,
+        arrivals: &[S],
+    ) -> Result<FleetReport, DpmError> {
         if arrivals.len() != self.devices.len() {
             return Err(DpmError::BadConfiguration {
                 reason: format!(
@@ -699,52 +737,21 @@ impl FleetController {
         Ok(report)
     }
 
-    /// Phase 1 — parallel, per-device: feed the epoch's arrivals and
-    /// re-fit every ready estimator. Contiguous shards, disjoint
-    /// mutable state, so the merge is trivially deterministic.
-    fn feed_and_fit(&mut self, arrivals: &[Vec<u32>]) {
-        let workers = self.config.workers;
+    /// Phase 1 — parallel, per-device: feed each device its epoch's
+    /// arrivals in one batch and re-fit every ready estimator.
+    /// Contiguous shards, disjoint mutable state, so the merge is
+    /// trivially deterministic; a single shard runs on the calling
+    /// thread.
+    fn feed_and_fit<S: AsRef<[u32]> + Sync>(&mut self, arrivals: &[S]) {
         let quiet = self.config.quiet_divergence;
-        let chunk = self.devices.len().div_ceil(workers).max(1);
+        let chunk = self.devices.len().div_ceil(self.config.workers).max(1);
+        if self.devices.len() <= chunk {
+            feed_shard(&mut self.devices, arrivals, quiet);
+            return;
+        }
         std::thread::scope(|s| {
-            for (shard, bits) in self.devices.chunks_mut(chunk).zip(arrivals.chunks(chunk)) {
-                s.spawn(move || {
-                    for (device, stream) in shard.iter_mut().zip(bits) {
-                        device.fit_outcome = FitOutcome::None;
-                        // Quarantined devices neither feed nor fit: a
-                        // device suspected of emitting garbage must not
-                        // influence any model until re-admitted.
-                        if device.health == DeviceHealth::Quarantined {
-                            continue;
-                        }
-                        for &b in stream {
-                            device.estimator.observe(b);
-                        }
-                        if !device.estimator.is_ready() {
-                            continue;
-                        }
-                        // The incremental gauge: a fitted device whose
-                        // windowed counts stayed within the quiet gate
-                        // of its last fit keeps fit, flattened gauge
-                        // and cluster untouched — no refit, no gauge
-                        // recomputation downstream.
-                        if device.fit.is_some() {
-                            if let (Some(gate), Some(drift)) =
-                                (quiet, device.estimator.count_drift())
-                            {
-                                if drift <= gate {
-                                    device.fit_outcome = FitOutcome::Skipped;
-                                    continue;
-                                }
-                            }
-                        }
-                        if let Ok(sr) = device.estimator.fit() {
-                            device.flat = Some(flatten(&sr));
-                            device.fit = Some(sr);
-                            device.fit_outcome = FitOutcome::Refit;
-                        }
-                    }
-                });
+            for (shard, streams) in self.devices.chunks_mut(chunk).zip(arrivals.chunks(chunk)) {
+                s.spawn(move || feed_shard(shard, streams, quiet));
             }
         });
     }
@@ -875,10 +882,10 @@ impl FleetController {
     }
 
     /// Phase 4 — parallel, per-cluster: re-solve every gated cluster on
-    /// its own forked session. Failures stay local to the cluster.
+    /// its own forked session. Failures stay local to the cluster; a
+    /// single shard runs on the calling thread.
     fn solve_clusters(&mut self) {
-        let workers = self.config.workers;
-        let chunk = self.clusters.len().div_ceil(workers).max(1);
+        let chunk = self.clusters.len().div_ceil(self.config.workers).max(1);
         // Workers only need each class's provider and queue to recompose
         // (the class's base *session* is not `Sync` and stays put).
         let recompose: Vec<(&ServiceProvider, ServiceQueue)> = self
@@ -887,14 +894,19 @@ impl FleetController {
             .map(|class| (&class.provider, class.queue))
             .collect();
         let recompose = recompose.as_slice();
+        let solve_shard = move |shard: &mut [Cluster]| {
+            for cluster in shard.iter_mut().filter(|c| c.needs_solve) {
+                let (provider, queue) = recompose[cluster.class];
+                cluster.outcome = Some(cluster.resolve(provider, queue));
+            }
+        };
+        if self.clusters.len() <= chunk {
+            solve_shard(&mut self.clusters);
+            return;
+        }
         std::thread::scope(|s| {
             for shard in self.clusters.chunks_mut(chunk) {
-                s.spawn(move || {
-                    for cluster in shard.iter_mut().filter(|c| c.needs_solve) {
-                        let (provider, queue) = recompose[cluster.class];
-                        cluster.outcome = Some(cluster.resolve(provider, queue));
-                    }
-                });
+                s.spawn(move || solve_shard(shard));
             }
         });
     }

@@ -220,7 +220,7 @@ impl FleetService {
         &mut self,
         arrivals: &[(DeviceId, Vec<u32>)],
     ) -> Result<FleetReport, DpmError> {
-        let mut dense = vec![Vec::new(); self.ids.len()];
+        let mut dense: Vec<&[u32]> = vec![&[]; self.ids.len()];
         let mut seen = vec![false; self.ids.len()];
         for (id, stream) in arrivals {
             let Some(&idx) = self.index.get(&id.0) else {
@@ -234,7 +234,7 @@ impl FleetService {
                 });
             }
             seen[idx] = true;
-            dense[idx] = stream.clone();
+            dense[idx] = stream;
         }
         self.controller.run_epoch(&dense)
     }

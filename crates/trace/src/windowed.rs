@@ -12,8 +12,13 @@
 //! Two window shapes, both O(1) per observed slice:
 //!
 //! * **sliding** ([`WindowKind::Sliding`]): the last `n` slices count
-//!   fully, older slices not at all — a ring buffer of bits whose
-//!   expiring transition is decremented as a new one is counted;
+//!   fully, older slices not at all. The window is a bit-packed ring of
+//!   `n/8` bytes next to an exact integer tally per `(k+1)`-bit pattern
+//!   (`(history << 1) | bit`). A batch of slices is fed in one pass: a
+//!   rolling pattern register walks the new slices and counts their
+//!   transitions, and a second rolling register walks the packed words
+//!   of the slices that leave the window and un-counts theirs — for any
+//!   batch length, longer than the window included;
 //! * **exponential decay** ([`WindowKind::Exponential`]): every past
 //!   transition keeps a weight `decay^age` — implemented with a growing
 //!   per-observation weight and periodic renormalization, so no decay
@@ -27,7 +32,7 @@ use crate::SrExtractor;
 ///
 /// Production telemetry arrives as floating point and is not trusted:
 /// the value must be finite, non-negative, integral (within `1e-6`) and
-/// within `u32` range before it may reach [`WindowedEstimator::observe`]
+/// within `u32` range before it may reach [`WindowedEstimator::observe_stream`]
 /// — a NaN folded into the transition counts would silently poison every
 /// later fit into a NaN transition matrix.
 ///
@@ -121,20 +126,13 @@ pub enum WindowKind {
 #[derive(Debug, Clone)]
 pub struct WindowedEstimator {
     extractor: SrExtractor,
-    kind: WindowKind,
-    /// Transition counts `counts[s] = [weight of s→0-shift, s→1-shift]`,
-    /// maintained incrementally under the window discipline.
-    counts: Vec<[f64; 2]>,
+    /// The window discipline with its count storage.
+    window: Window,
     /// Current k-bit history (the state transitions are counted *from*).
     state: usize,
-    /// Bits observed so far (seeding the history consumes the first k).
+    /// Bits observed so far (seeding the history consumes the first k);
+    /// also the stream position of the next slice.
     observed: u64,
-    /// Sliding mode: the windowed bits, newest last.
-    ring: std::collections::VecDeque<bool>,
-    /// Exponential mode: weight of the *next* observation; past
-    /// observations keep their recorded weight, so a count recorded `t`
-    /// steps ago is worth `decay^t` relative to the newest.
-    weight: f64,
     /// Transition matrix of the most recent fit, flattened row-major.
     last_fit: Option<Vec<f64>>,
     /// Max-abs transition-probability change between the two most recent
@@ -165,17 +163,18 @@ pub struct WindowedEstimator {
 /// configuration, and `import_state` validates the shapes against it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EstimatorState {
-    /// Windowed transition counts, `counts[s] = [s→shift-in-0, s→shift-in-1]`.
+    /// Windowed transition counts, `counts[s] = [s→shift-in-0, s→shift-in-1]`
+    /// (whole-number tallies for sliding windows).
     pub counts: Vec<[f64; 2]>,
     /// Current k-bit history state.
     pub state: usize,
     /// Slices observed since construction/reset.
     pub observed: u64,
-    /// Sliding-window ring contents, oldest first (empty for exponential
-    /// windows).
+    /// Sliding-window ring contents: the last `min(observed, n)` slices,
+    /// oldest first (empty for exponential windows).
     pub ring: Vec<bool>,
     /// Exponential-mode weight of the next observation (1 for sliding
-    /// windows).
+    /// windows, which ignore it on import).
     pub weight: f64,
     /// Flattened transition matrix of the most recent fit, if any.
     pub last_fit: Option<Vec<f64>>,
@@ -185,6 +184,262 @@ pub struct EstimatorState {
     pub blend_prior: Option<Vec<[f64; 2]>>,
     /// Normalized window counts at the most recent fit, if any.
     pub counts_at_fit: Option<Vec<[f64; 2]>>,
+}
+
+/// A window discipline together with the counts it keeps.
+#[derive(Debug, Clone)]
+enum Window {
+    Sliding(SlidingWindow),
+    Exponential(DecayingCounts),
+}
+
+/// The last `len` slices of the stream and the exact transition tallies
+/// of the window they span.
+#[derive(Debug, Clone)]
+struct SlidingWindow {
+    /// Window length `n` in slices.
+    len: usize,
+    /// The newest slices, one bit each, in `⌈n/64⌉` words: room for the
+    /// last `n`.
+    ring: BitRing,
+    /// Transition tallies `tally[s] = [s→shift-in-0, s→shift-in-1]`;
+    /// flattened, the table is indexed by the `(k+1)`-bit pattern
+    /// `(s << 1) | bit`.
+    tally: Vec<[u64; 2]>,
+}
+
+/// The newest slices of a stream, one bit each, packed 64 to a word.
+#[derive(Debug, Clone)]
+struct BitRing {
+    /// Ring bit `b` is bit `63 - b % 64` of word `b / 64`, so a word
+    /// reads oldest slice first from its most significant bit.
+    words: Vec<u64>,
+    /// The ring bit the next slice is written to.
+    head: usize,
+}
+
+/// Exponentially decaying transition weights.
+#[derive(Debug, Clone)]
+struct DecayingCounts {
+    decay: f64,
+    /// `counts[s] = [weight of s→0-shift, s→1-shift]`.
+    counts: Vec<[f64; 2]>,
+    /// Weight of the *next* observation; past observations keep their
+    /// recorded weight, so a count recorded `t` steps ago is worth
+    /// `decay^t` relative to the newest.
+    weight: f64,
+}
+
+impl SlidingWindow {
+    fn new(len: usize, states: usize) -> Self {
+        SlidingWindow {
+            len,
+            ring: BitRing {
+                words: vec![0; len.div_ceil(64)],
+                head: 0,
+            },
+            tally: vec![[0; 2]; states],
+        }
+    }
+
+    /// Counts the transitions of `batch` (the slices at stream positions
+    /// `start..`, past the `seeding` slices that only fill the history)
+    /// and un-counts those that leave the window, then stores the batch.
+    /// `state` enters as the history before the first counted slice and
+    /// leaves as the history after the batch.
+    fn feed(
+        &mut self,
+        state: &mut usize,
+        memory: usize,
+        start: u64,
+        seeding: usize,
+        batch: &[u32],
+    ) {
+        let patterns = self.tally.as_flattened_mut();
+        let pattern_mask = patterns.len() - 1;
+        let mut arriving = *state;
+        for &a in batch.get(seeding..).unwrap_or_default() {
+            arriving = ((arriving << 1) | usize::from(a > 0)) & pattern_mask;
+            if let Some(t) = patterns.get_mut(arriving) {
+                *t += 1;
+            }
+        }
+        *state = arriving & (pattern_mask >> 1);
+
+        // The slice at position `p ≥ n` pushes out the transition whose
+        // pattern spans positions `p - n ..= p - n + k`.
+        let n = self.len as u64;
+        let end = start + batch.len() as u64;
+        let first = start.max(n);
+        if end > first {
+            let history = first - n..first - n + memory as u64;
+            let mut leaving = 0usize;
+            for_each_bit(&self.ring, history.clone(), start, batch, |bit| {
+                leaving = (leaving << 1) | bit;
+            });
+            let departing = history.end..end - n + memory as u64;
+            for_each_bit(&self.ring, departing, start, batch, |bit| {
+                leaving = ((leaving << 1) | bit) & pattern_mask;
+                if let Some(t) = patterns.get_mut(leaving) {
+                    // Saturating: a restored state whose counts disagree
+                    // with its ring never goes negative.
+                    *t = t.saturating_sub(1);
+                }
+            });
+        }
+        self.ring.push(batch, |&a| a > 0);
+    }
+
+    /// The window's slices, oldest first, when `observed` slices have
+    /// been fed.
+    fn bits(&self, observed: u64) -> Vec<bool> {
+        let held = observed.min(self.len as u64) as usize;
+        let mut bits = Vec::with_capacity(held);
+        self.ring.for_each(held, held, |bit| bits.push(bit == 1));
+        bits
+    }
+
+    fn counts(&self) -> Vec<[f64; 2]> {
+        self.tally
+            .iter()
+            .map(|&[zero, one]| [zero as f64, one as f64])
+            .collect()
+    }
+}
+
+impl BitRing {
+    fn capacity(&self) -> usize {
+        self.words.len() * 64
+    }
+
+    /// Calls `f` with the bits (0 or 1) of `count` consecutive slices,
+    /// oldest first, the first of them written `back` slices ago
+    /// (`count ≤ back ≤ capacity`).
+    fn for_each(&self, back: usize, count: usize, mut f: impl FnMut(usize)) {
+        let capacity = self.capacity();
+        let mut bit = if back <= self.head {
+            self.head - back
+        } else {
+            self.head + capacity - back
+        };
+        let mut left = count;
+        while left > 0 {
+            let offset = bit % 64;
+            let take = (64 - offset).min(left);
+            let mut word = self.words.get(bit / 64).map_or(0, |w| w << offset);
+            for _ in 0..take {
+                f((word >> 63) as usize);
+                word <<= 1;
+            }
+            left -= take;
+            bit += take;
+            if bit == capacity {
+                bit = 0;
+            }
+        }
+    }
+
+    /// Writes `bits`, oldest first, as the newest slices.
+    fn push<T>(&mut self, bits: &[T], is_set: impl Fn(&T) -> bool) {
+        let capacity = self.capacity();
+        let skip = bits.len().saturating_sub(capacity);
+        if skip > 0 {
+            self.head = (self.head + skip) % capacity;
+        }
+        let mut rest = bits.get(skip..).unwrap_or_default();
+        while !rest.is_empty() {
+            let offset = self.head % 64;
+            let take = (64 - offset).min(rest.len());
+            let (chunk, tail) = rest.split_at(take);
+            let packed = chunk
+                .iter()
+                .enumerate()
+                .fold(0u64, |acc, (i, b)| acc | (u64::from(is_set(b)) << (63 - i)));
+            let mask = (u64::MAX << (64 - take)) >> offset;
+            if let Some(word) = self.words.get_mut(self.head / 64) {
+                *word = (*word & !mask) | (packed >> offset);
+            }
+            self.head += take;
+            if self.head == capacity {
+                self.head = 0;
+            }
+            rest = tail;
+        }
+    }
+
+    fn clear(&mut self) {
+        self.words.fill(0);
+        self.head = 0;
+    }
+}
+
+/// Calls `f` with each bit (0 or 1) at the stream positions `span`,
+/// reading positions before `start` from `ring` and the rest from
+/// `batch`, whose first entry is at position `start`. `span` must lie
+/// within the window's reach: `span.start ≥ start - n`.
+fn for_each_bit(
+    ring: &BitRing,
+    span: std::ops::Range<u64>,
+    start: u64,
+    batch: &[u32],
+    mut f: impl FnMut(usize),
+) {
+    let stored = span.end.min(start);
+    if span.start < stored {
+        ring.for_each(
+            (start - span.start) as usize,
+            (stored - span.start) as usize,
+            &mut f,
+        );
+    }
+    if span.end > start {
+        let fresh = batch
+            .get((span.start.max(start) - start) as usize..(span.end - start) as usize)
+            .unwrap_or_default();
+        for &a in fresh {
+            f(usize::from(a > 0));
+        }
+    }
+}
+
+impl DecayingCounts {
+    /// Counts the transitions of `batch` (no seeding slices) from the
+    /// history `state`, advancing it.
+    fn feed(&mut self, state: &mut usize, mask: usize, batch: &[u32]) {
+        for &a in batch {
+            let bit = usize::from(a > 0);
+            // Newest observations weigh more; dividing at fit time by
+            // the current weight recovers `decay^age` semantics without
+            // sweeping the table every slice.
+            self.weight /= self.decay;
+            if let Some(pair) = self.counts.get_mut(*state) {
+                pair[bit] += self.weight;
+            }
+            if self.weight > 1e100 {
+                for pair in &mut self.counts {
+                    pair[0] /= self.weight;
+                    pair[1] /= self.weight;
+                }
+                self.weight = 1.0;
+            }
+            *state = ((*state << 1) | bit) & mask;
+        }
+    }
+}
+
+impl Window {
+    /// The window's counts normalized so the newest observation weighs
+    /// one (sliding windows: the exact tallies).
+    fn counts(&self) -> Vec<[f64; 2]> {
+        match self {
+            Window::Sliding(w) => w.counts(),
+            Window::Exponential(e) => e
+                .counts
+                .iter()
+                .map(|&[zero, one]| [zero / e.weight, one / e.weight])
+                .collect(),
+        }
+    }
 }
 
 impl WindowedEstimator {
@@ -218,14 +473,19 @@ impl WindowedEstimator {
             }
         }
         let states = extractor.num_states();
+        let window = match kind {
+            WindowKind::Sliding(n) => Window::Sliding(SlidingWindow::new(n, states)),
+            WindowKind::Exponential(decay) => Window::Exponential(DecayingCounts {
+                decay,
+                counts: vec![[0.0; 2]; states],
+                weight: 1.0,
+            }),
+        };
         Ok(WindowedEstimator {
             extractor,
-            kind,
-            counts: vec![[0.0; 2]; states],
+            window,
             state: 0,
             observed: 0,
-            ring: std::collections::VecDeque::new(),
-            weight: 1.0,
             last_fit: None,
             divergence: None,
             blending: false,
@@ -270,7 +530,10 @@ impl WindowedEstimator {
 
     /// The window discipline.
     pub fn window(&self) -> WindowKind {
-        self.kind
+        match &self.window {
+            Window::Sliding(w) => WindowKind::Sliding(w.len),
+            Window::Exponential(e) => WindowKind::Exponential(e.decay),
+        }
     }
 
     /// Slices observed since construction (or the last [`Self::reset`]).
@@ -284,57 +547,40 @@ impl WindowedEstimator {
         self.observed > u64::from(self.extractor.memory())
     }
 
-    /// Feeds one slice's arrival count (binarized, matching
-    /// [`SrExtractor::extract`]): updates the windowed transition counts
-    /// and advances the k-bit history in O(1).
+    /// Feeds one slice's arrival count — [`Self::observe_stream`] with a
+    /// one-slice batch.
     pub fn observe(&mut self, arrivals: u32) {
-        let bit = arrivals > 0;
-        let k = self.extractor.memory() as usize;
+        self.observe_stream(std::slice::from_ref(&arrivals));
+    }
+
+    /// Feeds a batch of per-slice arrival counts (binarized, matching
+    /// [`SrExtractor::extract`]), oldest first: updates the windowed
+    /// transition counts and advances the k-bit history exactly as
+    /// feeding the slices one at a time would.
+    ///
+    /// A sliding window takes the batch in one pass: a rolling
+    /// `(k+1)`-bit register counts the batch's transitions, a second one
+    /// walks the packed ring (and, for a batch longer than the window,
+    /// the batch itself) to un-count the transitions that leave, and the
+    /// batch's last `n` bits are packed into the `n/8`-byte ring. An
+    /// exponential window weighs each slice in turn.
+    pub fn observe_stream(&mut self, arrivals: &[u32]) {
+        let memory = self.extractor.memory() as usize;
         let mask = self.extractor.num_states() - 1;
-        self.observed += 1;
-        if self.observed <= k as u64 {
-            // Still seeding the history: no transition to count yet.
-            self.state = ((self.state << 1) | usize::from(bit)) & mask;
-            if let WindowKind::Sliding(_) = self.kind {
-                self.ring.push_back(bit);
-            }
-            return;
+        let start = self.observed;
+        // The first k slices of the stream only seed the history.
+        let seeding = (memory as u64)
+            .saturating_sub(start)
+            .min(arrivals.len() as u64) as usize;
+        let (seed, counted) = arrivals.split_at(seeding);
+        for &a in seed {
+            self.state = ((self.state << 1) | usize::from(a > 0)) & mask;
         }
-        match self.kind {
-            WindowKind::Sliding(n) => {
-                self.counts[self.state][usize::from(bit)] += 1.0;
-                self.ring.push_back(bit);
-                if self.ring.len() > n {
-                    // The oldest transition (from the history ending at
-                    // position k-1 of the ring, shifting in bit k) falls
-                    // out of the window: un-count it.
-                    let mut old_state = 0usize;
-                    for &b in self.ring.iter().take(k) {
-                        old_state = ((old_state << 1) | usize::from(b)) & mask;
-                    }
-                    let old_bit = *self.ring.get(k).expect("ring longer than k");
-                    self.counts[old_state][usize::from(old_bit)] -= 1.0;
-                    self.counts[old_state][usize::from(old_bit)] =
-                        self.counts[old_state][usize::from(old_bit)].max(0.0);
-                    self.ring.pop_front();
-                }
-            }
-            WindowKind::Exponential(decay) => {
-                // Newest observations weigh more; dividing at fit time by
-                // the current weight recovers `decay^age` semantics
-                // without sweeping the table every slice.
-                self.weight /= decay;
-                self.counts[self.state][usize::from(bit)] += self.weight;
-                if self.weight > 1e100 {
-                    for pair in &mut self.counts {
-                        pair[0] /= self.weight;
-                        pair[1] /= self.weight;
-                    }
-                    self.weight = 1.0;
-                }
-            }
+        match &mut self.window {
+            Window::Sliding(w) => w.feed(&mut self.state, memory, start, seeding, arrivals),
+            Window::Exponential(e) => e.feed(&mut self.state, mask, counted),
         }
-        self.state = ((self.state << 1) | usize::from(bit)) & mask;
+        self.observed = start + arrivals.len() as u64;
     }
 
     /// Feeds one slice of **raw, untrusted** telemetry: validates it
@@ -367,18 +613,10 @@ impl WindowedEstimator {
                 ),
             });
         }
-        let current: Vec<[f64; 2]> = match self.kind {
-            WindowKind::Sliding(_) => self.counts.clone(),
-            WindowKind::Exponential(_) => {
-                // Normalize so the newest observation counts 1 — the
-                // scale cancels in the row normalization but keeps the
-                // smoothing constant meaningful.
-                self.counts
-                    .iter()
-                    .map(|pair| [pair[0] / self.weight, pair[1] / self.weight])
-                    .collect()
-            }
-        };
+        // Normalized so the newest observation counts 1 — the scale
+        // cancels in the row normalization but keeps the smoothing
+        // constant meaningful.
+        let current = self.window.counts();
         // Confidence-weighted blend: pool the window with the carried
         // prior — per state, each side weighs in by its effective sample
         // count — then cap the carried mass at one window's worth so old
@@ -451,19 +689,11 @@ impl WindowedEstimator {
     pub fn count_drift(&self) -> Option<f64> {
         let at_fit = self.counts_at_fit.as_ref()?;
         let alpha = self.extractor.smoothing();
-        // `counts_at_fit` is stored normalized; normalize the live table
-        // the same way (exponential windows carry a running weight).
-        let scale = match self.kind {
-            WindowKind::Sliding(_) => 1.0,
-            WindowKind::Exponential(_) => self.weight,
-        };
-        let mut worst = 0.0f64;
-        for (now, then) in self.counts.iter().zip(at_fit) {
-            let (n0, n1) = (now[0] / scale, now[1] / scale);
+        let row_drift = |[n0, n1]: [f64; 2], &[t0, t1]: &[f64; 2]| {
             let now_total = n0 + n1 + 2.0 * alpha;
-            let then_total = then[0] + then[1] + 2.0 * alpha;
-            let drift = match (now_total > 0.0, then_total > 0.0) {
-                (true, true) => ((n1 + alpha) / now_total - (then[1] + alpha) / then_total).abs(),
+            let then_total = t0 + t1 + 2.0 * alpha;
+            match (now_total > 0.0, then_total > 0.0) {
+                (true, true) => ((n1 + alpha) / now_total - (t1 + alpha) / then_total).abs(),
                 // Both histories unvisited: the inert self-loop on each
                 // side, no movement.
                 (false, false) => 0.0,
@@ -471,9 +701,24 @@ impl WindowedEstimator {
                 // fitted row flips between data and the self-loop —
                 // maximal movement.
                 _ => 1.0,
-            };
-            worst = worst.max(drift);
-        }
+            }
+        };
+        // `counts_at_fit` is stored normalized; normalize the live table
+        // the same way (exponential windows carry a running weight).
+        let worst = match &self.window {
+            Window::Sliding(w) => w
+                .tally
+                .iter()
+                .zip(at_fit)
+                .map(|(&[zero, one], then)| row_drift([zero as f64, one as f64], then))
+                .fold(0.0, f64::max),
+            Window::Exponential(e) => e
+                .counts
+                .iter()
+                .zip(at_fit)
+                .map(|(&[zero, one], then)| row_drift([zero / e.weight, one / e.weight], then))
+                .fold(0.0, f64::max),
+        };
         Some(worst)
     }
 
@@ -482,12 +727,16 @@ impl WindowedEstimator {
     /// blending) is not included; pair the state with an identically
     /// configured estimator on import.
     pub fn export_state(&self) -> EstimatorState {
+        let (counts, ring, weight) = match &self.window {
+            Window::Sliding(w) => (w.counts(), w.bits(self.observed), 1.0),
+            Window::Exponential(e) => (e.counts.clone(), Vec::new(), e.weight),
+        };
         EstimatorState {
-            counts: self.counts.clone(),
+            counts,
             state: self.state,
             observed: self.observed,
-            ring: self.ring.iter().copied().collect(),
-            weight: self.weight,
+            ring,
+            weight,
             last_fit: self.last_fit.clone(),
             divergence: self.divergence,
             blend_prior: self.blend_prior.clone(),
@@ -503,9 +752,10 @@ impl WindowedEstimator {
     ///
     /// [`DpmError::BadConfiguration`] when the state's shapes do not
     /// match this estimator's configuration: wrong count-table or
-    /// fit-matrix size, a k-bit history out of range, a ring longer than
-    /// a sliding window (or any ring on an exponential one), or a
-    /// non-finite/non-positive weight.
+    /// fit-matrix size, a k-bit history out of range, a sliding-window
+    /// ring that is not the last `min(observed, n)` slices or counts
+    /// that are not whole numbers of at most `n`, any ring on an
+    /// exponential window, or a non-finite/non-positive weight.
     pub fn import_state(&mut self, state: EstimatorState) -> Result<(), DpmError> {
         let n = self.extractor.num_states();
         let mismatch = |reason: String| DpmError::BadConfiguration { reason };
@@ -521,33 +771,10 @@ impl WindowedEstimator {
                 state.state
             )));
         }
-        match self.kind {
-            WindowKind::Sliding(limit) => {
-                if state.ring.len() > limit {
-                    return Err(mismatch(format!(
-                        "estimator state ring of {} bits exceeds the {limit}-slice window",
-                        state.ring.len()
-                    )));
-                }
-            }
-            WindowKind::Exponential(_) => {
-                if !state.ring.is_empty() {
-                    return Err(mismatch(
-                        "estimator state carries a ring but the window is exponential".to_string(),
-                    ));
-                }
-                if !(state.weight.is_finite() && state.weight > 0.0) {
-                    return Err(mismatch(format!(
-                        "estimator state weight {} is not a positive finite value",
-                        state.weight
-                    )));
-                }
-            }
-        }
         for (label, table) in [
-            ("counts", &Some(state.counts.clone())),
-            ("blend prior", &state.blend_prior),
-            ("counts at fit", &state.counts_at_fit),
+            ("counts", Some(&state.counts)),
+            ("blend prior", state.blend_prior.as_ref()),
+            ("counts at fit", state.counts_at_fit.as_ref()),
         ] {
             if let Some(table) = table {
                 if table.len() != n {
@@ -571,6 +798,51 @@ impl WindowedEstimator {
                 }
             }
         }
+        match &self.window {
+            Window::Sliding(w) => {
+                let limit = w.len;
+                if state.ring.len() > limit {
+                    return Err(mismatch(format!(
+                        "estimator state ring of {} bits exceeds the {limit}-slice window",
+                        state.ring.len()
+                    )));
+                }
+                let held = state.observed.min(limit as u64);
+                if state.ring.len() as u64 != held {
+                    return Err(mismatch(format!(
+                        "estimator state ring of {} bits after {} slices should hold {held}",
+                        state.ring.len(),
+                        state.observed
+                    )));
+                }
+                // Sliding counts are tallies of whole transitions inside
+                // the window.
+                if let Some(&bad) = state
+                    .counts
+                    .iter()
+                    .flatten()
+                    .find(|&&c| c.fract() != 0.0 || c > limit as f64)
+                {
+                    return Err(mismatch(format!(
+                        "estimator state count {bad} is not a tally within the \
+                         {limit}-slice window"
+                    )));
+                }
+            }
+            Window::Exponential(_) => {
+                if !state.ring.is_empty() {
+                    return Err(mismatch(
+                        "estimator state carries a ring but the window is exponential".to_string(),
+                    ));
+                }
+                if !(state.weight.is_finite() && state.weight > 0.0) {
+                    return Err(mismatch(format!(
+                        "estimator state weight {} is not a positive finite value",
+                        state.weight
+                    )));
+                }
+            }
+        }
         if let Some(fit) = &state.last_fit {
             if fit.len() != n * n {
                 return Err(mismatch(format!(
@@ -584,11 +856,21 @@ impl WindowedEstimator {
                 )));
             }
         }
-        self.counts = state.counts;
+        match &mut self.window {
+            Window::Sliding(w) => {
+                for (tally, &[zero, one]) in w.tally.iter_mut().zip(&state.counts) {
+                    *tally = [zero as u64, one as u64];
+                }
+                w.ring.clear();
+                w.ring.push(&state.ring, |&bit| bit);
+            }
+            Window::Exponential(e) => {
+                e.counts = state.counts;
+                e.weight = state.weight;
+            }
+        }
         self.state = state.state;
         self.observed = state.observed;
-        self.ring = state.ring.into_iter().collect();
-        self.weight = state.weight;
         self.last_fit = state.last_fit;
         self.divergence = state.divergence;
         self.blend_prior = state.blend_prior;
@@ -599,13 +881,18 @@ impl WindowedEstimator {
     /// Forgets everything: counts, history, fit memory. The estimator is
     /// back in its freshly constructed state.
     pub fn reset(&mut self) {
-        for pair in &mut self.counts {
-            *pair = [0.0; 2];
+        match &mut self.window {
+            Window::Sliding(w) => {
+                w.tally.fill([0; 2]);
+                w.ring.clear();
+            }
+            Window::Exponential(e) => {
+                e.counts.fill([0.0; 2]);
+                e.weight = 1.0;
+            }
         }
         self.state = 0;
         self.observed = 0;
-        self.ring.clear();
-        self.weight = 1.0;
         self.last_fit = None;
         self.divergence = None;
         self.blend_prior = None;
@@ -959,5 +1246,255 @@ mod tests {
         assert!(
             WindowedEstimator::new(SrExtractor::new(1), WindowKind::Exponential(f64::NAN)).is_err()
         );
+    }
+
+    #[test]
+    fn restored_counts_that_disagree_with_the_ring_saturate_at_zero() {
+        // A restored state whose tallies undercount its ring: the
+        // departing transitions find nothing to remove and stop at zero.
+        let extractor = SrExtractor::new(2).with_smoothing(0.5);
+        let mut source = WindowedEstimator::new(extractor, WindowKind::Sliding(16)).unwrap();
+        feed(&mut source, (0..40).map(|i| u32::from(i % 3 == 0)));
+        let mut state = source.export_state();
+        state.counts = vec![[0.0; 2]; 4];
+        let mut restored = WindowedEstimator::new(extractor, WindowKind::Sliding(16)).unwrap();
+        restored.import_state(state).unwrap();
+        restored.observe_stream(&[1, 0, 0, 1, 1, 0, 1, 0, 0, 0, 1, 1]);
+        let counts = restored.export_state().counts;
+        assert!(counts
+            .iter()
+            .flatten()
+            .all(|&c| c >= 0.0 && c.fract() == 0.0));
+        let total: f64 = counts.iter().flatten().sum();
+        assert!(total <= 12.0, "only the fed transitions remain: {total}");
+        assert!(restored.fit().is_ok());
+    }
+
+    #[test]
+    fn import_rejects_rings_and_counts_a_sliding_window_cannot_hold() {
+        let extractor = SrExtractor::new(1);
+        let mut estimator = WindowedEstimator::new(extractor, WindowKind::Sliding(8)).unwrap();
+        feed(&mut estimator, [1, 0, 1, 1, 0]);
+        let good = estimator.export_state();
+        assert_eq!(good.ring.len(), 5);
+        assert!(estimator.import_state(good.clone()).is_ok());
+        let mut bad = good.clone();
+        bad.ring.pop();
+        assert!(
+            estimator.import_state(bad).is_err(),
+            "ring shorter than the stream"
+        );
+        let mut bad = good.clone();
+        bad.observed = 3;
+        assert!(
+            estimator.import_state(bad).is_err(),
+            "ring longer than the stream"
+        );
+        let mut bad = good.clone();
+        bad.counts[0][1] = 0.5;
+        assert!(estimator.import_state(bad).is_err(), "fractional tally");
+        let mut bad = good;
+        bad.counts[1][1] = 9.0;
+        assert!(
+            estimator.import_state(bad).is_err(),
+            "tally beyond the window"
+        );
+    }
+
+    /// The per-slice sliding-window algorithm that batch feeding
+    /// replaced, kept as the reference: a `VecDeque` of bits, float
+    /// counts, and the departing history recomputed from the ring on
+    /// every slice.
+    struct Reference {
+        memory: usize,
+        len: usize,
+        counts: Vec<[f64; 2]>,
+        state: usize,
+        observed: u64,
+        ring: std::collections::VecDeque<bool>,
+        /// The counts at the last fit, as `counts_at_fit` records them.
+        at_fit: Option<Vec<[f64; 2]>>,
+    }
+
+    impl Reference {
+        fn new(memory: usize, len: usize) -> Self {
+            Reference {
+                memory,
+                len,
+                counts: vec![[0.0; 2]; 1 << memory],
+                state: 0,
+                observed: 0,
+                ring: std::collections::VecDeque::new(),
+                at_fit: None,
+            }
+        }
+
+        fn observe(&mut self, arrivals: u32) {
+            let bit = arrivals > 0;
+            let k = self.memory;
+            let mask = (1 << k) - 1;
+            self.observed += 1;
+            if self.observed <= k as u64 {
+                self.state = ((self.state << 1) | usize::from(bit)) & mask;
+                self.ring.push_back(bit);
+                return;
+            }
+            self.counts[self.state][usize::from(bit)] += 1.0;
+            self.ring.push_back(bit);
+            if self.ring.len() > self.len {
+                let mut old_state = 0usize;
+                for &b in self.ring.iter().take(k) {
+                    old_state = ((old_state << 1) | usize::from(b)) & mask;
+                }
+                let old_bit = self.ring[k];
+                self.counts[old_state][usize::from(old_bit)] -= 1.0;
+                self.counts[old_state][usize::from(old_bit)] =
+                    self.counts[old_state][usize::from(old_bit)].max(0.0);
+                self.ring.pop_front();
+            }
+            self.state = ((self.state << 1) | usize::from(bit)) & mask;
+        }
+
+        fn count_drift(&self, alpha: f64) -> Option<f64> {
+            let at_fit = self.at_fit.as_ref()?;
+            let mut worst = 0.0f64;
+            for (now, then) in self.counts.iter().zip(at_fit) {
+                let now_total = now[0] + now[1] + 2.0 * alpha;
+                let then_total = then[0] + then[1] + 2.0 * alpha;
+                let drift = match (now_total > 0.0, then_total > 0.0) {
+                    (true, true) => {
+                        ((now[1] + alpha) / now_total - (then[1] + alpha) / then_total).abs()
+                    }
+                    (false, false) => 0.0,
+                    _ => 1.0,
+                };
+                worst = worst.max(drift);
+            }
+            Some(worst)
+        }
+
+        /// The state the estimator must export, with the fit memory the
+        /// reference does not model taken from `subject`.
+        fn expected(&self, subject: &EstimatorState) -> EstimatorState {
+            EstimatorState {
+                counts: self.counts.clone(),
+                state: self.state,
+                observed: self.observed,
+                ring: self.ring.iter().copied().collect(),
+                weight: 1.0,
+                last_fit: subject.last_fit.clone(),
+                divergence: subject.divergence,
+                blend_prior: None,
+                counts_at_fit: self.at_fit.clone(),
+            }
+        }
+    }
+
+    fn bits_of(p: &dpm_markov::StochasticMatrix) -> Vec<u64> {
+        let n = p.num_states();
+        (0..n)
+            .flat_map(|s| (0..n).map(move |t| (s, t)))
+            .map(|(s, t)| p.prob(s, t).to_bits())
+            .collect()
+    }
+
+    /// One random stream: mostly Bernoulli slices of a random density,
+    /// with periodic stretches, and arrival counts above one.
+    fn random_stream(rng: &mut rand::rngs::StdRng, len: usize) -> Vec<u32> {
+        use rand::RngCore;
+        let density = rng.next_u64() % 101;
+        let period = 2 + rng.next_u64() % 9;
+        (0..len as u64)
+            .map(|i| {
+                let draw = rng.next_u64();
+                if (i / 97) % 3 == 2 {
+                    u32::from(i % period == 0) * (1 + (draw % 3) as u32)
+                } else {
+                    u32::from(draw % 100 < density)
+                }
+            })
+            .collect()
+    }
+
+    /// Random batch lengths: empty, single-slice, short and longer than
+    /// the window.
+    fn random_batch(rng: &mut rand::rngs::StdRng, window: usize) -> usize {
+        use rand::RngCore;
+        match rng.next_u64() % 6 {
+            0 => 0,
+            1 => 1,
+            2 => 1 + (rng.next_u64() % 8) as usize,
+            3 => window + 1 + (rng.next_u64() % (window as u64 + 3)) as usize,
+            _ => (rng.next_u64() % (window as u64 + 2)) as usize,
+        }
+    }
+
+    #[test]
+    fn batch_feed_matches_the_per_slice_algorithm() {
+        use rand::{RngCore, SeedableRng};
+        let alpha = 0.25;
+        let mut cases = 0;
+        for memory in [1usize, 2, 3, 5, 8, 16] {
+            for window in [memory + 1, 63, 64, 65, 800] {
+                for start in ["empty", "mid-seeding", "imported"] {
+                    let seed = (memory * 100_000 + window * 10 + start.len()) as u64;
+                    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+                    let extractor = SrExtractor::new(memory as u32).with_smoothing(alpha);
+                    let mut subject =
+                        WindowedEstimator::new(extractor, WindowKind::Sliding(window)).unwrap();
+                    let mut reference = Reference::new(memory, window);
+                    match start {
+                        "mid-seeding" => {
+                            let prefix =
+                                random_stream(&mut rng, memory.div_ceil(2).min(memory - 1));
+                            subject.observe_stream(&prefix);
+                            prefix.iter().for_each(|&a| reference.observe(a));
+                        }
+                        "imported" => {
+                            let len = (rng.next_u64() % (3 * window as u64 + 5)) as usize;
+                            random_stream(&mut rng, len)
+                                .iter()
+                                .for_each(|&a| reference.observe(a));
+                            reference.at_fit = Some(reference.counts.clone());
+                            let exported = reference.expected(&subject.export_state());
+                            subject.import_state(exported).unwrap();
+                        }
+                        _ => {}
+                    }
+                    let stream = random_stream(&mut rng, 4 * window + 300);
+                    let mut rest = stream.as_slice();
+                    while !rest.is_empty() {
+                        let take = random_batch(&mut rng, window).min(rest.len());
+                        let (batch, tail) = rest.split_at(take);
+                        rest = tail;
+                        subject.observe_stream(batch);
+                        batch.iter().for_each(|&a| reference.observe(a));
+                        let context = format!("k={memory} n={window} start={start}");
+                        // A k = 16 fit is a dense 65536-state chain: fits
+                        // are compared up to k = 8.
+                        if memory <= 8 && subject.is_ready() && rng.next_u64() % 4 == 0 {
+                            let fitted = subject.fit().unwrap();
+                            let expected =
+                                extractor.extract_from_counts(&reference.counts).unwrap();
+                            reference.at_fit = Some(reference.counts.clone());
+                            assert_eq!(
+                                bits_of(fitted.chain().transition_matrix()),
+                                bits_of(expected.chain().transition_matrix()),
+                                "{context}: fit"
+                            );
+                        }
+                        let exported = subject.export_state();
+                        assert_eq!(exported, reference.expected(&exported), "{context}: state");
+                        assert_eq!(
+                            subject.count_drift().map(f64::to_bits),
+                            reference.count_drift(alpha).map(f64::to_bits),
+                            "{context}: count drift"
+                        );
+                    }
+                    cases += 1;
+                }
+            }
+        }
+        assert_eq!(cases, 6 * 5 * 3);
     }
 }
