@@ -62,6 +62,7 @@
 //! | don't know / don't care | [`RevisedSimplex`] | the default of `dpm_core::SolverKind`; the occupation-LP layer (`dpm_mdp::OccupationLp`) additionally rescues numerical failures by retrying with another engine — callers using this crate directly get no such net |
 //! | re-solving one model under a sweep of bounds | a [`SolveSession`] on [`RevisedSimplex`] | parametric right-hand-side changes re-solve by **dual simplex from the previous optimal basis** — typically a handful of pivots instead of a full two-phase cold solve, on sparse factors that are reused (and FT-updated) across the whole sweep |
 //! | re-solving as the *model itself* drifts (coefficients, not just bounds) | [`SolveSession::reload`] on [`RevisedSimplex`] | a shape-identical program reloads warm ([`ReloadKind::Warm`]): the retained basis is refactorized on the new coefficients and feasibility is repaired in a handful of pivots; a shape change degrades to a correct cold rebuild ([`ReloadKind::Cold`]) |
+//! | cold-solving an LP whose good starting basis you know — an occupation LP and a deterministic policy | [`SolveSession::seed_basis`] on a [`RevisedSimplex`] session | the session's cold starts begin from the seeded columns instead of one artificial per row: a primal-feasible seed skips phase 1, a seed that violates some rows leaves phase 1 only those, a singular or negative seed is dropped for the plain start. `dpm_mdp`'s prepared sessions seed a lookahead policy's basis (about 5× fewer cold pivots at 208 states; the 1050-state LP4 the one-shot solve fails on solves in 883 pivots) |
 //! | suspecting the pricing / measuring it | [`RevisedSimplex::with_pricing`] with [`PricingRule::Dantzig`] or [`PricingRule::Bland`] | same pivot algebra under full-scan pricing — the cross-check devex is property-tested against, and the baseline of the `pricing_rules` bench group (devex is >2× faster at 1050 states, ~19× less column scanning at 4018) |
 //!
 //! All engines accept the same [`LinearProgram`] and return the same
@@ -109,6 +110,11 @@
 //!   re-estimates its workload model, re-emits the occupation LP (same
 //!   shape, drifted balance coefficients) and hot-swaps it into the
 //!   running session at warm-start cost.
+//! * [`SolveSession::seed_basis`] gives the session's cold starts — the
+//!   first solve, a cold reload, a failed warm attempt's fallback — a
+//!   crash basis: one original column per row, or `None` for the row's
+//!   slack. One-shot [`LpSolver::solve`] never sees a seed, so it stays
+//!   the unseeded reference seeded sessions are checked against.
 //!
 //! ## Migration notes (pre-session `LpSolver`)
 //!

@@ -164,28 +164,13 @@ impl RevisedSimplex {
 }
 
 impl RevisedSimplex {
-    /// The full cold pipeline — build, two phases, clean extraction —
-    /// returning the final [`Core`] so sessions can keep its factorized
-    /// basis for warm re-solves. [`LpSolver::solve`] discards the core.
-    fn solve_to_core(&self, lp: &LinearProgram) -> Result<(LpSolution, Core), LpError> {
-        self.solve_to_core_with(lp, self.budget, fault::arm())
-    }
-
-    /// [`Self::solve_to_core`] with an explicit budget and an
-    /// already-armed fault plan — the entry sessions use for their cold
-    /// fallback so the warm attempt's spending (and its fault-injection
-    /// solve ordinal) carries over instead of starting a fresh solve.
-    fn solve_to_core_with(
-        &self,
-        lp: &LinearProgram,
-        budget: SolveBudget,
-        faults: Option<ArmedFaults>,
-    ) -> Result<(LpSolution, Core), LpError> {
-        lp.validate()?;
-        let mut core = Core::build(lp, self.tolerance, self.refactor_interval)?;
-        core.arm(budget, faults);
+    /// The cold pipeline on a freshly built, armed [`Core`]: phase 1
+    /// when the starting basis holds artificials, phase 2, clean
+    /// extraction. The core is the caller's, so its effort counters stay
+    /// readable whether the solve succeeds or fails, and a session keeps
+    /// the factorized optimal basis for warm re-solves.
+    fn run_cold(&self, core: &mut Core, lp: &LinearProgram) -> Result<LpSolution, LpError> {
         let mut iterations = 0;
-
         if core.num_artificial > 0 {
             iterations += core.optimize(Phase::One, self.pricing, self.max_iterations)?;
             if core.phase1_objective() > self.tolerance.max(1e-7) {
@@ -193,10 +178,7 @@ impl RevisedSimplex {
             }
         }
         iterations += core.optimize(Phase::Two, self.pricing, self.max_iterations)?;
-
-        let solution = core.extract_solution(lp, iterations)?;
-        core.disarm();
-        Ok((solution, core))
+        core.extract_solution(lp, iterations)
     }
 }
 
@@ -206,6 +188,7 @@ impl LpSolver for RevisedSimplex {
         Ok(Box::new(RevisedSession {
             config: self.clone(),
             lp: lp.clone(),
+            seed: Vec::new(),
             core: None,
             warm: false,
             rhs_dirty: false,
@@ -218,8 +201,13 @@ impl LpSolver for RevisedSimplex {
         }))
     }
 
+    /// One unseeded cold solve: the all-slack/artificial start, never a
+    /// basis seed (seeds live on sessions, not on the program).
     fn solve(&self, lp: &LinearProgram) -> Result<LpSolution, LpError> {
-        self.solve_to_core(lp).map(|(solution, _)| solution)
+        lp.validate()?;
+        let mut core = Core::build(lp, self.tolerance, self.refactor_interval, &[])?;
+        core.arm(self.budget, fault::arm());
+        self.run_cold(&mut core, lp)
     }
 
     fn name(&self) -> &'static str {
@@ -318,7 +306,18 @@ struct Core {
 const FT_GROWTH_LIMIT: f64 = 1e7;
 
 impl Core {
-    fn build(lp: &LinearProgram, tol: f64, refactor_interval: usize) -> Result<Self, LpError> {
+    /// Loads `lp`'s sparse standard form and factorizes a starting basis:
+    /// `seed`'s columns in the rows it names (see
+    /// [`SolveSession::seed_basis`]), every other row its unit slack or a
+    /// fresh artificial. A seed that leaves the basis singular or a
+    /// seeded column below `−tol` is dropped whole for the plain start,
+    /// which is what an empty seed gives directly.
+    fn build(
+        lp: &LinearProgram,
+        tol: f64,
+        refactor_interval: usize,
+        seed: &[Option<usize>],
+    ) -> Result<Self, LpError> {
         let sf = lp.to_sparse_standard_form()?;
         let m = sf.b.len();
         let n = sf.c.len();
@@ -343,44 +342,21 @@ impl Core {
             );
         }
 
-        // Slack columns that survive normalization as unit vectors serve
-        // as the initial basis of their row; the rest get artificials.
-        let mut basis = vec![usize::MAX; m];
-        for (j, col) in cols.iter().enumerate().skip(sf.num_original_vars) {
-            if let [(i, v)] = col[..] {
-                if v == 1.0 && basis[i] == usize::MAX {
-                    basis[i] = j;
-                }
-            }
-        }
-        let mut num_artificial = 0;
-        for (i, slot) in basis.iter_mut().enumerate() {
-            if *slot == usize::MAX {
-                cols.push(vec![(i, 1.0)]);
-                *slot = n + num_artificial;
-                num_artificial += 1;
-            }
-        }
-
-        let mut is_basic = vec![false; cols.len()];
-        for &j in &basis {
-            is_basic[j] = true;
-        }
-
         let mut core = Core {
             m,
             num_structural: n,
             num_original: sf.num_original_vars,
-            num_artificial,
+            num_artificial: 0,
             cols,
             cost: sf.c,
             b,
             flip,
-            basis,
-            is_basic,
+            // `start_from` below installs the starting basis.
+            basis: Vec::new(),
+            is_basic: Vec::new(),
             x_b: vec![0.0; m],
-            // 0×0 placeholder (never solved against); the `refactor`
-            // call below installs the real initial-basis factorization.
+            // 0×0 placeholder (never solved against); `start_from`
+            // installs the real initial-basis factorization.
             factors: Box::new(SparseLu::from_columns::<Vec<(usize, f64)>>(0, &[])?),
             updates_since_refactor: 0,
             tol,
@@ -398,8 +374,92 @@ impl Core {
             base_refactors: 0,
             faults: None,
         };
-        core.refactor()?;
+        if seed.iter().any(Option::is_some) && core.start_from(seed).is_ok() {
+            return Ok(core);
+        }
+        core.start_from(&[])?;
         Ok(core)
+    }
+
+    /// Installs and factorizes a starting basis: `seed`'s columns in the
+    /// rows it names, then each remaining row's unit slack (a slack that
+    /// survived normalization as `+e_i`), else a `+e_i` artificial. A
+    /// slack or artificial that comes out negative marks a row the seed
+    /// violates; it is swapped for a `−e_i` artificial, so the start is
+    /// primal feasible and phase 1 repairs only those rows. With an empty
+    /// seed the basis is the identity and nothing is swapped.
+    ///
+    /// # Errors
+    ///
+    /// A repeated seed column, a singular basis, or a seeded column
+    /// below `−tol` — the caller then drops the seed.
+    fn start_from(&mut self, seed: &[Option<usize>]) -> Result<(), LpError> {
+        let rejected = |reason: &str| LpError::Numerical {
+            reason: format!("basis seed dropped: {reason}"),
+        };
+        self.cols.truncate(self.num_structural);
+        self.num_artificial = 0;
+        self.peak_fill = 0;
+        let mut rows: Vec<Option<usize>> = seed.to_vec();
+        rows.resize(self.m, None);
+        for (j, col) in self.cols.iter().enumerate().skip(self.num_original) {
+            if let [(i, v)] = *col.as_slice() {
+                match rows.get_mut(i) {
+                    Some(row @ None) if v == 1.0 => *row = Some(j),
+                    _ => {}
+                }
+            }
+        }
+        self.is_basic = vec![false; self.num_structural];
+        self.basis = Vec::with_capacity(self.m);
+        for (i, row) in rows.into_iter().enumerate() {
+            let j = match row {
+                Some(j) => match self.is_basic.get_mut(j) {
+                    Some(basic) if !*basic => {
+                        *basic = true;
+                        j
+                    }
+                    _ => return Err(rejected("a seeded column repeats or does not exist")),
+                },
+                None => self.add_artificial(i, 1.0),
+            };
+            self.basis.push(j);
+        }
+        self.refactor()?;
+
+        let negative: Vec<(usize, usize)> = self
+            .basis
+            .iter()
+            .zip(&self.x_b)
+            .enumerate()
+            .filter(|&(_, (_, &value))| value < -self.tol)
+            .map(|(slot, (&j, _))| (slot, j))
+            .collect();
+        if negative.iter().any(|&(_, j)| j < self.num_original) {
+            return Err(rejected("a seeded column is negative"));
+        }
+        for &(slot, j) in &negative {
+            if let Some(basic) = self.is_basic.get_mut(j) {
+                *basic = false;
+            }
+            let artificial = self.add_artificial(slot, -1.0);
+            if let Some(column) = self.basis.get_mut(slot) {
+                *column = artificial;
+            }
+        }
+        if !negative.is_empty() {
+            self.refactor()?;
+        }
+        Ok(())
+    }
+
+    /// Appends a basic artificial column `coefficient·e_row` and returns
+    /// its index.
+    fn add_artificial(&mut self, row: usize, coefficient: f64) -> usize {
+        self.cols.push(vec![(row, coefficient)]);
+        self.is_basic.push(true);
+        self.num_artificial += 1;
+        self.cols.len() - 1
     }
 
     /// Arms a solve attempt: spending restarts from the current lifetime
@@ -1282,14 +1342,19 @@ impl Core {
 ///   solve repairs whichever feasibility the drift broke (primal phase-2
 ///   when the basic values survived, dual simplex + phase-2 when only
 ///   dual feasibility did, cold fallback when neither).
-/// * **both at once**, a failed warm attempt, or the very first solve →
-///   a cold two-phase solve (the session then becomes warm again).
+/// * **both at once**, a failed warm attempt, a cold reload, or the very
+///   first solve → a cold two-phase solve, started from the seeded basis
+///   when [`SolveSession::seed_basis`] set one (the session then becomes
+///   warm again).
 #[derive(Debug)]
 struct RevisedSession {
     config: RevisedSimplex,
     /// Mirror of the loaded program, kept in sync with every mutation —
     /// the source of truth for cold rebuilds and objective evaluation.
     lp: LinearProgram,
+    /// The basis seed every cold start places ([`SolveSession::seed_basis`]):
+    /// one entry per constraint row, empty for the plain start.
+    seed: Vec<Option<usize>>,
     core: Option<Core>,
     /// `true` when `core` holds an optimal (dual-feasible) basis usable
     /// as a warm start.
@@ -1326,6 +1391,16 @@ struct EffortMark {
 }
 
 impl EffortMark {
+    /// The mark of a fresh core: stamping against it reports the core's
+    /// lifetime effort, which for a cold solve is the solve's own.
+    const FRESH: EffortMark = EffortMark {
+        pivots: 0,
+        refactorizations: 0,
+        basis_updates: 0,
+        priced_columns: 0,
+        devex_resets: 0,
+    };
+
     fn take(core: &mut Core) -> Self {
         core.reset_peak_fill();
         EffortMark {
@@ -1445,6 +1520,9 @@ impl RevisedSession {
         self.symbolic_reported = total;
     }
 
+    /// A cold start: a fresh core from the seeded basis, then the
+    /// two-phase pipeline. The report carries the cold core's effort
+    /// whether or not the solve succeeds.
     fn solve_cold(
         &mut self,
         report: &mut SolveReport,
@@ -1455,15 +1533,19 @@ impl RevisedSession {
         self.warm = false;
         self.reload_pending = false;
         report.warm_start = false;
-        match self.config.solve_to_core_with(&self.lp, budget, faults) {
-            Ok((solution, core)) => {
-                report.iterations = core.pivots;
-                report.refactorizations = core.refactorizations;
-                report.basis_updates = core.basis_updates;
-                report.pricing_candidates = core.priced_columns;
-                report.devex_resets = core.devex_resets;
-                report.fill_in_nnz = core.peak_fill();
-                report.basis_signature = core.basis_signature();
+        let config = &self.config;
+        let mut core = Core::build(
+            &self.lp,
+            config.tolerance,
+            config.refactor_interval,
+            &self.seed,
+        )?;
+        core.arm(budget, faults);
+        let result = config.run_cold(&mut core, &self.lp);
+        core.disarm();
+        EffortMark::FRESH.stamp(&core, report);
+        match result {
+            Ok(solution) => {
                 self.core = Some(core);
                 self.warm = true;
                 self.rhs_dirty = false;
@@ -1477,6 +1559,24 @@ impl RevisedSession {
                 Err(e)
             }
         }
+    }
+}
+
+/// Checks a basis seed against `lp`: one entry per constraint row, each
+/// column one of the program's own variables.
+fn check_seed(lp: &LinearProgram, columns: &[Option<usize>]) -> Result<(), LpError> {
+    if columns.len() != lp.num_constraints() {
+        return Err(LpError::BadConstraint {
+            found: columns.len(),
+            expected: lp.num_constraints(),
+        });
+    }
+    match columns.iter().flatten().find(|&&j| j >= lp.num_vars()) {
+        Some(&j) => Err(LpError::BadConstraint {
+            found: j,
+            expected: lp.num_vars(),
+        }),
+        None => Ok(()),
     }
 }
 
@@ -1503,6 +1603,9 @@ impl SolveSession for RevisedSession {
     fn reload(&mut self, lp: &LinearProgram) -> Result<ReloadKind, LpError> {
         lp.validate()?;
         let warmable = self.warm && self.core.is_some() && same_shape(&self.lp, lp);
+        if check_seed(lp, &self.seed).is_err() {
+            self.seed.clear();
+        }
         self.lp = lp.clone();
         self.rhs_dirty = false;
         self.obj_dirty = false;
@@ -1676,6 +1779,7 @@ impl SolveSession for RevisedSession {
         Ok(Box::new(RevisedSession {
             config: self.config.clone(),
             lp: self.lp.clone(),
+            seed: self.seed.clone(),
             core: self.core.clone(),
             warm: self.warm,
             rhs_dirty: self.rhs_dirty,
@@ -1698,6 +1802,12 @@ impl SolveSession for RevisedSession {
 
     fn force_refactor(&mut self) {
         self.refactor_requested = true;
+    }
+
+    fn seed_basis(&mut self, columns: &[Option<usize>]) -> Result<(), LpError> {
+        check_seed(&self.lp, columns)?;
+        self.seed = columns.to_vec();
+        Ok(())
     }
 
     fn engine_name(&self) -> &'static str {
@@ -2350,5 +2460,140 @@ mod tests {
             .solve(&lp)
             .unwrap_err();
         assert!(matches!(err, LpError::IterationLimit { .. }));
+    }
+
+    /// `x0 + x1 = 1`, `x0 − x1 = 0`, `x0 ≤ bound`: the only vertex is
+    /// `x = (½, ½)`, so `[x0, x1]` on the equality rows is its basis.
+    fn two_equalities(bound: f64) -> LinearProgram {
+        let mut lp = LinearProgram::minimize(&[1.0, 2.0, 0.0]);
+        lp.add_constraint(&[1.0, 1.0, 0.0], ConstraintOp::Eq, 1.0)
+            .unwrap();
+        lp.add_constraint(&[1.0, -1.0, 0.0], ConstraintOp::Eq, 0.0)
+            .unwrap();
+        lp.add_constraint(&[1.0, 0.0, 0.0], ConstraintOp::Le, bound)
+            .unwrap();
+        lp
+    }
+
+    fn start(lp: &LinearProgram, seed: &[Option<usize>]) -> Core {
+        Core::build(lp, 1e-9, 128, seed).unwrap()
+    }
+
+    #[test]
+    fn a_feasible_seed_starts_without_artificials() {
+        let lp = two_equalities(1.0);
+        let core = start(&lp, &[Some(0), Some(1), None]);
+        // Seeded columns, then the bound row's slack (column 3).
+        assert_eq!(core.basis, [0, 1, 3]);
+        assert_eq!(core.num_artificial, 0);
+        assert!(core.is_primal_feasible());
+        // The plain start needs one artificial per equality row.
+        let plain = start(&lp, &[]);
+        assert_eq!(plain.num_artificial, 2);
+        assert_eq!(plain.basis, start(&lp, &[None, None, None]).basis);
+    }
+
+    #[test]
+    fn a_violated_inequality_gets_a_negated_artificial() {
+        // x0 = ½ violates x0 ≤ ¼: the slack would be −¼.
+        let lp = two_equalities(0.25);
+        let core = start(&lp, &[Some(0), Some(1), None]);
+        assert_eq!(core.basis[..2], [0, 1]);
+        let artificial = core.basis[2];
+        assert!(artificial >= core.num_structural);
+        assert_eq!(core.cols[artificial], [(2, -1.0)]);
+        assert!((core.x_b[2] - 0.25).abs() < 1e-12);
+        assert!((core.phase1_objective() - 0.25).abs() < 1e-12);
+    }
+
+    #[test]
+    fn singular_duplicate_and_negative_seeds_are_dropped() {
+        let lp = two_equalities(1.0);
+        let plain = start(&lp, &[]).basis;
+        // Column 2 appears in no row: singular.
+        assert_eq!(start(&lp, &[Some(2), Some(1), None]).basis, plain);
+        // One column twice.
+        assert_eq!(start(&lp, &[Some(0), Some(0), None]).basis, plain);
+        // x0 alone on row 0 and x1 on the bound row: x0 = 1 from row 0,
+        // then row 1 forces the artificial to 1 and row 2 x1 = 0 − 1.
+        let mut negative = LinearProgram::minimize(&[1.0, 1.0]);
+        negative
+            .add_constraint(&[1.0, 0.0], ConstraintOp::Eq, 1.0)
+            .unwrap();
+        negative
+            .add_constraint(&[1.0, 1.0], ConstraintOp::Eq, 0.5)
+            .unwrap();
+        assert_eq!(
+            start(&negative, &[Some(0), Some(1)]).basis,
+            start(&negative, &[]).basis
+        );
+    }
+
+    #[test]
+    fn seeded_sessions_keep_the_seed_across_forks_and_reloads() {
+        let lp = two_equalities(1.0);
+        let mut session = RevisedSimplex::new().start(&lp).unwrap();
+        session.seed_basis(&[Some(0), Some(1), None]).unwrap();
+        let fork = session.fork();
+        let (seeded, report) = session.solve().unwrap();
+        // The seeded basis is the optimum: no pivot at all.
+        assert_eq!(report.iterations, 0);
+        assert!((seeded.objective() - 1.5).abs() < 1e-12);
+        let (forked, report) = fork.unwrap().solve().unwrap();
+        assert_eq!(report.iterations, 0);
+        assert_eq!(forked.objective(), seeded.objective());
+        // The unseeded start pivots both artificials out.
+        let (plain, report) = RevisedSimplex::new().start(&lp).unwrap().solve().unwrap();
+        assert!(report.iterations >= 2);
+        assert!((plain.objective() - seeded.objective()).abs() < 1e-12);
+        // A cold reload to a program the seed no longer fits clears it.
+        let mut grown = lp.clone();
+        grown
+            .add_constraint(&[0.0, 0.0, 1.0], ConstraintOp::Le, 1.0)
+            .unwrap();
+        assert_eq!(session.reload(&grown).unwrap(), ReloadKind::Cold);
+        let (_, report) = session.solve().unwrap();
+        assert!(report.iterations >= 2, "the unfitting seed was cleared");
+        // A cold reload to a program it still fits keeps it.
+        session.seed_basis(&[Some(0), Some(1), None, None]).unwrap();
+        let mut reshaped = lp.clone();
+        reshaped
+            .add_constraint(&[0.0, 1.0, 1.0], ConstraintOp::Le, 2.0)
+            .unwrap();
+        assert_eq!(session.reload(&reshaped).unwrap(), ReloadKind::Cold);
+        let (_, report) = session.solve().unwrap();
+        assert_eq!(report.iterations, 0);
+    }
+
+    #[test]
+    fn seeds_must_fit_the_program() {
+        let lp = two_equalities(1.0);
+        let mut session = RevisedSimplex::new().start(&lp).unwrap();
+        let bad = |found, expected| Err(LpError::BadConstraint { found, expected });
+        assert_eq!(session.seed_basis(&[Some(0)]), bad(1, 3));
+        assert_eq!(session.seed_basis(&[None, Some(3), None]), bad(3, 3));
+        // Engines without a basis ignore seeds.
+        let mut dense = Simplex::new().start(&lp).unwrap();
+        assert_eq!(dense.seed_basis(&[Some(9)]), Ok(()));
+    }
+
+    #[test]
+    fn a_failed_cold_solve_reports_its_effort() {
+        // x0 + x1 ≥ 4 with both variables boxed at 1: phase 1 pivots and
+        // ends at a positive artificial.
+        let mut lp = LinearProgram::minimize(&[1.0, 1.0]);
+        lp.add_constraint(&[1.0, 1.0], ConstraintOp::Ge, 4.0)
+            .unwrap();
+        lp.add_constraint(&[1.0, 0.0], ConstraintOp::Le, 1.0)
+            .unwrap();
+        lp.add_constraint(&[0.0, 1.0], ConstraintOp::Le, 1.0)
+            .unwrap();
+        let mut session = RevisedSimplex::new().start(&lp).unwrap();
+        assert_eq!(session.solve().unwrap_err(), LpError::Infeasible);
+        let report = session.last_report();
+        assert_eq!(report.termination, Termination::Infeasible);
+        assert!(report.iterations >= 2, "{report:?}");
+        assert!(report.refactorizations >= 1, "{report:?}");
+        assert!(report.pricing_candidates > 0, "{report:?}");
     }
 }

@@ -434,6 +434,37 @@ pub trait SolveSession: std::fmt::Debug + Send {
     /// (the default implementation), and harmless when the factors are
     /// already fresh.
     fn force_refactor(&mut self) {}
+
+    /// Seeds the basis of the session's cold starts: `columns` holds one
+    /// entry per constraint row, the original-variable column to place in
+    /// that row's basis slot, or `None` to keep the row's slack or
+    /// artificial. A seed built from a deterministic policy's
+    /// state–action columns is primal feasible on an occupation LP's
+    /// balance rows, so phase 1 is skipped, or shrinks to the rows the
+    /// seed violates.
+    ///
+    /// Cold starts are the first solve, a solve after a
+    /// [`ReloadKind::Cold`] reload, and the fallback after a failed warm
+    /// attempt; warm re-solves ignore the seed. A seed that leaves the
+    /// basis singular, or a seeded column negative, is dropped at the
+    /// cold start for the plain start, so a seed never changes a verdict,
+    /// only the path to it. The seed survives [`fork`](Self::fork) and
+    /// same-shape reloads, and a reload to a program it no longer fits
+    /// clears it. An all-`None` seed restores the plain start.
+    ///
+    /// The default implementation is a no-op: engines without a basis
+    /// ignore seeds. [`RevisedSimplex`](crate::RevisedSimplex) sessions
+    /// honor them.
+    ///
+    /// # Errors
+    ///
+    /// [`LpError::BadConstraint`] when `columns` does not hold exactly one
+    /// entry per constraint row, or names a column that is not one of the
+    /// program's variables. The previous seed then stays in place.
+    fn seed_basis(&mut self, columns: &[Option<usize>]) -> Result<(), LpError> {
+        let _ = columns;
+        Ok(())
+    }
 }
 
 /// `true` when `next` has the same standard-form shape as `loaded`:

@@ -172,3 +172,20 @@ fn budget_carries_across_warm_to_cold_fallback() {
     assert_eq!(report.termination, Termination::Optimal);
     assert!((solution.objective() - reference_objective()).abs() < 1e-9);
 }
+
+#[test]
+fn a_failed_cold_solve_keeps_its_effort() {
+    let _guard = serialized();
+    let lp = workload();
+    let clean = RevisedSimplex::new().start(&lp).unwrap().solve().unwrap().1;
+    let _fault = fault::install(FaultPlan::new(23).poison_refactors(1.0));
+    // The pivots all run; the extraction's refactorization is poisoned.
+    let mut session = RevisedSimplex::new().start(&lp).unwrap();
+    assert!(session.solve().is_err());
+    let report = session.last_report();
+    assert_eq!(report.termination, Termination::NumericalTrouble);
+    assert_eq!(report.iterations, clean.iterations);
+    assert_eq!(report.pricing_candidates, clean.pricing_candidates);
+    // The build's factorization plus the poisoned one.
+    assert_eq!(report.refactorizations, 2);
+}

@@ -175,6 +175,12 @@ impl ConstrainedMdp {
     /// — warm-started when the engine supports it — without re-emitting
     /// balance rows or cost rows.
     ///
+    /// The session's cold starts are seeded
+    /// ([`SolveSession::seed_basis`]) with the basis of a cheap lookahead
+    /// policy ([`OccupationLp::policy_basis`]), which is primal feasible
+    /// on the balance rows: the first solve skips phase 1, or repairs
+    /// only the bound rows that policy violates.
+    ///
     /// # Errors
     ///
     /// * [`MdpError::InvalidInitialDistribution`] for a bad `initial`.
@@ -187,18 +193,12 @@ impl ConstrainedMdp {
         solver: &dyn LpSolver,
     ) -> Result<ConstrainedSession, MdpError> {
         validate_distribution(initial, self.mdp.num_states())?;
-        let lp = {
-            let occupation = OccupationLp::new(&self.mdp, initial)?;
-            let bounds: Vec<(&Matrix, f64)> = self
-                .constraints
-                .iter()
-                .map(|c| (&c.cost, c.bound))
-                .collect();
-            occupation.build(&bounds)?
-        };
-        let session = solver.start(&lp)?;
+        let bounds: Vec<f64> = self.constraints.iter().map(|c| c.bound).collect();
+        let (lp, seed) = seeded_program(&self.mdp, &self.constraints, initial, &bounds)?;
+        let mut session = solver.start(&lp)?;
+        session.seed_basis(&seed)?;
         Ok(ConstrainedSession {
-            bounds: self.constraints.iter().map(|c| c.bound).collect(),
+            bounds,
             problem: self,
             initial: initial.to_vec(),
             lp,
@@ -229,6 +229,27 @@ impl ConstrainedMdp {
             occupation: occ,
         }
     }
+}
+
+/// Emits the occupation LP of `mdp` under `constraints` with `bounds`
+/// (total discounted, one per constraint) together with the basis of its
+/// lookahead policy — the seed of the session's cold starts (see
+/// [`OccupationLp::policy_basis`]).
+fn seeded_program(
+    mdp: &DiscountedMdp,
+    constraints: &[CostConstraint],
+    initial: &[f64],
+    bounds: &[f64],
+) -> Result<(LinearProgram, Vec<Option<usize>>), MdpError> {
+    let occupation = OccupationLp::new(mdp, initial)?;
+    let rows: Vec<(&Matrix, f64)> = constraints
+        .iter()
+        .zip(bounds)
+        .map(|(c, &bound)| (&c.cost, bound))
+        .collect();
+    let (lp, policy) = occupation.build_with_lookahead(&rows)?;
+    let seed = occupation.policy_basis(&policy, rows.len());
+    Ok((lp, seed))
 }
 
 /// A constrained MDP loaded into a solver session: one LP emission, then
@@ -368,7 +389,8 @@ impl ConstrainedSession {
     /// the next [`Self::solve`] repairs feasibility in a handful of
     /// pivots — [`ReloadKind::Warm`]. A support change (transitions
     /// appearing or vanishing) alters the pattern and degrades to a
-    /// correct cold rebuild ([`ReloadKind::Cold`]).
+    /// correct cold rebuild ([`ReloadKind::Cold`]), which is re-seeded
+    /// with the new model's lookahead-policy basis.
     ///
     /// The equation-(16) extraction memo is invalidated: a basis
     /// signature only identifies a solution *within* one model version.
@@ -386,23 +408,17 @@ impl ConstrainedSession {
         // all still describe the old model).
         let mut mdp = self.problem.mdp.clone();
         mdp.replace_chain(chain.clone())?;
-        let lp = {
-            let occupation = OccupationLp::new(&mdp, &self.initial)?;
-            let bounds: Vec<(&Matrix, f64)> = self
-                .problem
-                .constraints
-                .iter()
-                .zip(&self.bounds)
-                .map(|(c, &bound)| (&c.cost, bound))
-                .collect();
-            occupation.build(&bounds)?
-        };
+        let (lp, seed) =
+            seeded_program(&mdp, &self.problem.constraints, &self.initial, &self.bounds)?;
         let kind = self.session.reload(&lp)?;
         self.problem.mdp = mdp;
         self.lp = lp;
         // Basis signatures do not span model versions: the same basic
         // set now encodes different frequencies.
         self.cached = None;
+        if kind == ReloadKind::Cold {
+            self.session.seed_basis(&seed)?;
+        }
         Ok(kind)
     }
 

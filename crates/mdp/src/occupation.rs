@@ -2,7 +2,11 @@ use dpm_linalg::Matrix;
 use dpm_lp::{ConstraintOp, LinearProgram, LpSolution, LpSolver};
 
 use crate::mdp::validate_distribution;
-use crate::{DiscountedMdp, MdpError, RandomizedPolicy};
+use crate::{DeterministicPolicy, DiscountedMdp, MdpError, RandomizedPolicy};
+
+/// Relative tolerance within which two lookahead bound usages tie (see
+/// [`OccupationLp::build_with_lookahead`]).
+const LOOKAHEAD_TIE: f64 = 1e-12;
 
 /// The occupation-measure linear program **LP2** of the paper's Appendix A.
 ///
@@ -107,6 +111,30 @@ impl<'a> OccupationLp<'a> {
     /// [`MdpError::CostShapeMismatch`] when an extra cost matrix has the
     /// wrong shape; LP build errors are mapped through.
     pub fn build(&self, extra_bounds: &[(&Matrix, f64)]) -> Result<LinearProgram, MdpError> {
+        self.build_with_lookahead(extra_bounds).map(|(lp, _)| lp)
+    }
+
+    /// [`Self::build`], plus the **lookahead policy** whose basis
+    /// ([`Self::policy_basis`]) seeds the program's cold starts. For each
+    /// state the policy takes the action minimizing
+    ///
+    /// ```text
+    /// qb(s,a) = u(s,a) + α Σ_j P(j|s,a) · min_a' u(j,a'),   u = Σ_k d_k / b_k
+    /// ```
+    ///
+    /// the bound usage one step ahead, each bound normalized by its
+    /// value (a bound `b_k ≤ 0` gets weight 1). Ties within 1e-12
+    /// relative go to the smallest `qc(s,a) = c(s,a) + α Σ_j P(j|s,a) ·
+    /// min_a' c(j,a')`, then to the lowest action. Cheap bound usage
+    /// keeps the policy inside the bound rows, so phase 1 has little or
+    /// nothing to repair. The cost-lookahead tie-break matters as much:
+    /// it lands the cold solve near the optimum, which later warm
+    /// reloads start from. Both sums accumulate in the pass over the
+    /// kernels' nonzeros that emits the balance rows.
+    pub(crate) fn build_with_lookahead(
+        &self,
+        extra_bounds: &[(&Matrix, f64)],
+    ) -> Result<(LinearProgram, DeterministicPolicy), MdpError> {
         let n = self.mdp.num_states();
         let m = self.mdp.num_actions();
         let alpha = self.mdp.discount();
@@ -119,6 +147,30 @@ impl<'a> OccupationLp<'a> {
             }
         }
         let mut lp = LinearProgram::minimize(&c);
+
+        // The lookahead policy's immediate terms: the normalized bound
+        // usage u(s,a) and the cost c(s,a), both in variable order, and
+        // their per-state minima.
+        let mut usage = vec![0.0; n * m];
+        for &(d, bound) in extra_bounds {
+            if d.shape() != (n, m) {
+                return Err(MdpError::CostShapeMismatch {
+                    found: d.shape(),
+                    expected: (n, m),
+                });
+            }
+            let weight = if bound > 0.0 { 1.0 / bound } else { 1.0 };
+            for (u, &v) in usage.iter_mut().zip(d.as_slice()) {
+                *u += weight * v;
+            }
+        }
+        let state_min = |q: &[f64]| -> Vec<f64> {
+            q.chunks_exact(m)
+                .map(|row| row.iter().copied().fold(f64::INFINITY, f64::min))
+                .collect()
+        };
+        let (usage_min, cost_min) = (state_min(&usage), state_min(&c));
+        let (mut qb, mut qc) = (usage, c);
 
         // Balance equations, one per state j, with the rhs scaled to the
         // normalized measure. The rows sum to `(1−α)·Σy = (1−α)`, i.e.
@@ -136,15 +188,23 @@ impl<'a> OccupationLp<'a> {
         // row `j` carries exactly `m` diagonal entries plus `j`'s actual
         // in-flows — never the dense `n·m` width. (Diagonal self-loops
         // duplicate an index; the LP builder sums duplicates by contract.)
+        // The same pass adds the lookahead terms to qb and qc.
         let mut inflows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
         for a in 0..m {
             let kernel = self.mdp.chain().kernel(a);
-            for s in 0..n {
-                for (j, &p) in kernel.row(s).iter().enumerate() {
+            let lookahead = qb.iter_mut().zip(qc.iter_mut()).skip(a).step_by(m);
+            for (s, (qb, qc)) in lookahead.enumerate() {
+                let (mut next_b, mut next_c) = (0.0, 0.0);
+                let row = kernel.row(s).iter().zip(usage_min.iter().zip(&cost_min));
+                for (j, (&p, (&ub, &cb))) in row.enumerate() {
                     if p != 0.0 {
                         inflows[j].push((self.var_index(s, a), -alpha * p));
+                        next_b += p * ub;
+                        next_c += p * cb;
                     }
                 }
+                *qb += alpha * next_b;
+                *qc += alpha * next_c;
             }
         }
         for (j, mut inflow) in inflows.into_iter().enumerate().skip(1) {
@@ -161,12 +221,6 @@ impl<'a> OccupationLp<'a> {
         // Extra discounted-cost bounds, scaled likewise; indicator-style
         // cost matrices (the common case) are themselves sparse.
         for &(d, bound) in extra_bounds {
-            if d.shape() != (n, m) {
-                return Err(MdpError::CostShapeMismatch {
-                    found: d.shape(),
-                    expected: (n, m),
-                });
-            }
             let row: Vec<(usize, f64)> = d
                 .iter()
                 .filter(|&(_, _, v)| v != 0.0)
@@ -174,7 +228,67 @@ impl<'a> OccupationLp<'a> {
                 .collect();
             lp.add_sparse_constraint(&row, ConstraintOp::Le, scale * bound)?;
         }
-        Ok(lp)
+
+        let actions = qb
+            .chunks_exact(m)
+            .zip(qc.chunks_exact(m))
+            .map(|(qb, qc)| {
+                let best = qb.iter().copied().fold(f64::INFINITY, f64::min);
+                let cut = best + LOOKAHEAD_TIE * best.abs();
+                qb.iter()
+                    .zip(qc)
+                    .enumerate()
+                    .filter(|&(_, (&b, _))| b <= cut)
+                    .min_by(|(_, (_, x)), (_, (_, y))| x.total_cmp(y))
+                    .map_or(0, |(a, _)| a)
+            })
+            .collect();
+        Ok((lp, DeterministicPolicy::new(actions)))
+    }
+
+    /// The basis of a deterministic policy in the program [`Self::build`]
+    /// emits with `num_bounds` bound rows, as a
+    /// [`SolveSession::seed_basis`](dpm_lp::SolveSession::seed_basis)
+    /// seed: balance row `j − 1` gets `x(j, π(j))`, the normalization row
+    /// `x(0, π(0))`, and the bound rows keep their slacks (`None`).
+    ///
+    /// The balance part of this basis is `I − αP_πᵀ` with one row
+    /// replaced by the normalization row, which is always nonsingular;
+    /// it solves to the policy's normalized occupation measure, which is
+    /// nonnegative. So the seed is primal feasible on the balance rows,
+    /// and a cold start from it only has to repair the bound rows the
+    /// policy violates.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the policy does not cover exactly the MDP's states or
+    /// prescribes an action out of range.
+    pub fn policy_basis(
+        &self,
+        policy: &DeterministicPolicy,
+        num_bounds: usize,
+    ) -> Vec<Option<usize>> {
+        let m = self.mdp.num_actions();
+        assert_eq!(
+            policy.num_states(),
+            self.mdp.num_states(),
+            "policy covers the wrong number of states"
+        );
+        assert!(
+            policy.actions().iter().all(|&a| a < m),
+            "policy action out of range ({m} actions)"
+        );
+        let column = |(s, &a): (usize, &usize)| Some(self.var_index(s, a));
+        let mut basis: Vec<Option<usize>> = policy
+            .actions()
+            .iter()
+            .enumerate()
+            .skip(1)
+            .map(column)
+            .collect();
+        basis.extend(policy.actions().iter().enumerate().take(1).map(column));
+        basis.resize(basis.len() + num_bounds, None);
+        basis
     }
 
     /// Solves the unconstrained LP2 with the given solver.

@@ -2,11 +2,16 @@
 //! models, optimize them exactly, and validate against simulation — the
 //! paper's own consistency methodology (Section V).
 
-use dpm::core::{CostMetric, OptimizationGoal, ParetoExplorer, PolicyOptimizer, SolverKind};
+use dpm::core::{
+    CostMetric, OptimizationGoal, ParetoExplorer, PolicyOptimizer, SolverKind, SystemModel,
+    SystemState,
+};
 use dpm::lp::{LpSolver, PricingRule, RevisedSimplex};
 use dpm::mdp::{DiscountedMdp, OccupationLp};
 use dpm::sim::{SimConfig, Simulator, StochasticPolicyManager};
 use dpm::systems::{appendix_b, cpu, disk, toy, web_server};
+use dpm::trace::generators::BurstyTraceGenerator;
+use dpm::trace::SrExtractor;
 
 #[test]
 fn example_a2_full_reproduction() {
@@ -308,4 +313,96 @@ fn scaled_appendix_b_lp4_solves_on_the_default_engine() {
         devex.objective(),
         dantzig.objective()
     );
+}
+
+/// The LP4 program the design sweep solves: minimize power under a queue
+/// bound and a 0.05 per-slice request-loss bound over a 10³ horizon.
+fn lp4(system: &SystemModel, queue_bound: f64) -> PolicyOptimizer<'_> {
+    PolicyOptimizer::new(system)
+        .horizon(1e3)
+        .goal(OptimizationGoal::MinimizePower)
+        .max_performance_penalty(queue_bound)
+        .max_request_loss_rate(0.05)
+}
+
+#[test]
+fn scaled_1050_state_lp4_solves_from_a_policy_basis() {
+    // 1050 states, 25 commands. The prepared session starts cold from
+    // the lookahead policy's basis. The unseeded one-shot solve of this
+    // program fails with "basic variable negative", an open defect that
+    // this test does not pin.
+    let system = appendix_b::Config::scaled(24, 20)
+        .system()
+        .expect("scaled appendix-B composes");
+    let solution = lp4(&system, 1.0)
+        .prepare()
+        .expect("prepares")
+        .solve()
+        .expect("solves");
+    let report = solution.solve_report();
+    assert_eq!(report.engine, "revised-simplex", "no rescue engine");
+    assert!(!report.warm_start);
+    assert!(report.iterations <= 1000, "{} pivots", report.iterations);
+    assert!(
+        (solution.power_per_slice() - 2.48441).abs() < 5e-6,
+        "{} W",
+        solution.power_per_slice()
+    );
+}
+
+#[test]
+fn fitted_model_solves_at_every_queue_bound() {
+    // A fitted requester on which the default engine, started from the
+    // all-artificial basis, reports a false `Infeasible` at every queue
+    // bound from 0.6 to 2.0 (an open defect of the unseeded path). The
+    // prepared session starts from a policy basis and solves them all.
+    let trace = BurstyTraceGenerator::new(0.0321, 0.7682)
+        .seed(8_615_041_678_910_030_776)
+        .generate(20_000);
+    let requester = SrExtractor::new(1).extract(&trace).expect("fits");
+    let system = appendix_b::Config::scaled(12, 7)
+        .system_with_requester(requester)
+        .expect("composes");
+    for step in 0..=14 {
+        let bound = 0.6 + 0.1 * f64::from(step);
+        let solution = lp4(&system, bound)
+            .prepare()
+            .expect("prepares")
+            .solve()
+            .unwrap_or_else(|e| panic!("queue bound {bound}: {e}"));
+        assert_eq!(solution.solve_report().engine, "revised-simplex");
+        if step == 4 {
+            assert!(
+                (solution.power_per_slice() - 1.99166).abs() < 5e-6,
+                "{} W",
+                solution.power_per_slice()
+            );
+            // The independent reference: the same program emitted by the
+            // mdp layer, solved one-shot (unseeded) under Dantzig pricing.
+            let horizon = 1e3;
+            let power = CostMetric::Power.matrix(&system);
+            let queue = CostMetric::QueueOccupancy.matrix(&system);
+            let loss = CostMetric::RequestLossIndicator.matrix(&system);
+            let mdp = DiscountedMdp::new(system.chain().clone(), power, 1.0 - 1.0 / horizon)
+                .expect("mdp validates");
+            let initial = system
+                .point_distribution(SystemState {
+                    sp: 0,
+                    sr: 0,
+                    queue: 0,
+                })
+                .expect("initial state exists");
+            let lp = OccupationLp::new(&mdp, &initial)
+                .expect("valid distribution")
+                .build(&[(&queue, bound * horizon), (&loss, 0.05 * horizon)])
+                .expect("LP builds");
+            let want = RevisedSimplex::new()
+                .with_pricing(PricingRule::Dantzig)
+                .solve(&lp)
+                .expect("Dantzig solves")
+                .objective();
+            let got = solution.objective_per_slice();
+            assert!((got - want).abs() <= 1e-9 * want.abs(), "{got} vs {want}");
+        }
+    }
 }
