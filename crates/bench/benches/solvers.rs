@@ -1,20 +1,85 @@
-//! Criterion benchmarks for the LP engines — the paper's runtime claim is
-//! that the whole disk Pareto curve "took less than 1 min on a SUN
-//! UltraSPARC workstation" (Section VI-A); these benches measure single
-//! solves of the same LPs, plus an ablation of simplex vs interior point
-//! (the PCx-style engine) across problem sizes.
+//! Solver microbenchmarks. The paper's runtime claim is that the whole
+//! disk Pareto curve "took less than 1 min on a SUN UltraSPARC
+//! workstation" (Section VI-A); these are single solves of the same
+//! LPs, the dense-tableau vs interior-point ablation across sizes, and
+//! the pricing-rule and engine comparisons at 208 and 1050 states —
+//! sizes and engines the repository benchmark (`perfbench/`) does not
+//! run.
+//!
+//! ```text
+//! cargo bench -p dpm-bench --bench solvers
+//! ```
+//!
+//! Prints one table per group: the median of three timed solves, then
+//! the effort counters of one more solve of the same instance (the
+//! simplex engines' pivots; the interior point's counts are its
+//! path-following iterations).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use dpm_bench::{section, table, time_median_ns};
 use dpm_core::{CostMetric, OptimizationGoal, PolicyOptimizer, SolverKind};
 use dpm_lp::{
     ConstraintOp, InteriorPoint, LinearProgram, LpSolver, PricingRule, RevisedSimplex, Simplex,
+    SolveReport,
 };
 use dpm_mdp::{DiscountedMdp, OccupationLp};
 use dpm_systems::{appendix_b, disk, toy};
 use dpm_trace::generators::BurstyTraceGenerator;
 use dpm_trace::SrExtractor;
 
-/// A mid-size random-but-feasible LP, as a solver microbenchmark.
+/// A median solve time and the effort of one solve.
+type Measured = (f64, SolveReport);
+
+/// Times `engine` on `lp`, and takes the counters from a session solve.
+fn measure_lp(engine: &dyn LpSolver, lp: &LinearProgram) -> Measured {
+    let ns = time_median_ns(|| engine.solve(lp).expect("instance solves"));
+    let (_, report) = engine
+        .start(lp)
+        .and_then(|mut session| session.solve())
+        .expect("instance solves");
+    (ns, report)
+}
+
+/// Times a whole policy optimization (prepare, then solve).
+fn measure_policy(optimizer: &PolicyOptimizer<'_>) -> Measured {
+    let ns = time_median_ns(|| optimizer.solve().expect("feasible"));
+    let solution = optimizer.solve().expect("feasible");
+    (ns, solution.solve_report().clone())
+}
+
+/// Prints one group's table, a row per measured instance.
+fn print_table(title: &str, size: &str, rows: &[(String, usize, Measured)]) {
+    section(title);
+    let header = [
+        "instance",
+        size,
+        "median ms",
+        "pivots",
+        "pricing",
+        "refactors",
+        "updates",
+        "fill-in",
+        "devex resets",
+    ];
+    let rows: Vec<Vec<String>> = rows
+        .iter()
+        .map(|(name, n, (ns, r))| {
+            vec![
+                name.clone(),
+                n.to_string(),
+                format!("{:.3}", ns / 1e6),
+                r.iterations.to_string(),
+                r.pricing_candidates.to_string(),
+                r.refactorizations.to_string(),
+                r.basis_updates.to_string(),
+                r.fill_in_nnz.to_string(),
+                r.devex_resets.to_string(),
+            ]
+        })
+        .collect();
+    table(&header, &rows);
+}
+
+/// A mid-size random-but-feasible LP with `n` variables and `m` rows.
 fn random_lp(n: usize, m: usize) -> LinearProgram {
     let mut seed = 0xA5A5_5A5A_1234_5678u64;
     let mut next = move || {
@@ -40,95 +105,8 @@ fn random_lp(n: usize, m: usize) -> LinearProgram {
     lp
 }
 
-fn bench_lp_engines(c: &mut Criterion) {
-    let mut group = c.benchmark_group("lp_engines");
-    for &(n, m) in &[(20usize, 10usize), (60, 30), (120, 60)] {
-        let lp = random_lp(n, m);
-        group.bench_with_input(BenchmarkId::new("simplex", n), &lp, |b, lp| {
-            b.iter(|| Simplex::new().solve(lp).expect("solvable"))
-        });
-        group.bench_with_input(BenchmarkId::new("interior_point", n), &lp, |b, lp| {
-            b.iter(|| InteriorPoint::new().solve(lp).expect("solvable"))
-        });
-    }
-    group.finish();
-}
-
-fn bench_disk_policy_optimization(c: &mut Criterion) {
-    // The paper's 66-state, 5-command disk LP (330 state-action vars).
-    let system = disk::system().expect("disk model composes");
-    let mut group = c.benchmark_group("disk_policy_optimization");
-    group.sample_size(10);
-    for kind in [
-        SolverKind::RevisedSimplex,
-        SolverKind::Simplex,
-        SolverKind::InteriorPoint,
-    ] {
-        group.bench_function(format!("{kind:?}"), |b| {
-            b.iter(|| {
-                PolicyOptimizer::new(&system)
-                    .horizon(1_000_000.0)
-                    .goal(OptimizationGoal::MinimizePower)
-                    .max_performance_penalty(0.5)
-                    .max_request_loss_rate(0.05)
-                    .solver(kind)
-                    .solve()
-                    .expect("feasible")
-            })
-        });
-    }
-    group.finish();
-}
-
-fn bench_toy_policy_optimization(c: &mut Criterion) {
-    let system = toy::example_system().expect("toy model composes");
-    c.bench_function("toy_example_a2_lp4", |b| {
-        b.iter(|| {
-            PolicyOptimizer::new(&system)
-                .discount(0.99999)
-                .max_performance_penalty(0.5)
-                .max_request_loss_rate(0.2)
-                .solve()
-                .expect("feasible")
-        })
-    });
-}
-
-fn bench_state_space_scaling(c: &mut Criterion) {
-    // Fig. 13(b)'s scaling axis: SR memory k doubles the state count each
-    // step; this is the polynomial-growth claim made concrete.
-    let trace = BurstyTraceGenerator::new(0.02, 0.9)
-        .seed(1)
-        .generate(100_000);
-    let mut group = c.benchmark_group("state_space_scaling");
-    group.sample_size(10);
-    for k in [1u32, 2, 3, 4] {
-        let sr = SrExtractor::new(k)
-            .extract(&trace)
-            .expect("trace long enough");
-        let system = appendix_b::Config::baseline()
-            .system_with_requester(sr)
-            .expect("composes");
-        group.bench_with_input(
-            BenchmarkId::new("optimize", system.num_states()),
-            &system,
-            |b, system| {
-                b.iter(|| {
-                    PolicyOptimizer::new(system)
-                        .horizon(100_000.0)
-                        .max_performance_penalty(0.5)
-                        .max_request_loss_rate(0.05)
-                        .solve()
-                        .expect("feasible")
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
-/// Builds the LP4 occupation program (minimize power, bound queue and
-/// loss) for a scaled Appendix-B system.
+/// The LP4 occupation program (minimize power, bound queue and loss)
+/// of a scaled Appendix-B system, with its state count.
 fn scaled_occupation_lp(sleeps: usize, queue_capacity: usize) -> (usize, LinearProgram) {
     let system = appendix_b::Config::scaled(sleeps, queue_capacity)
         .system()
@@ -149,190 +127,169 @@ fn scaled_occupation_lp(sleeps: usize, queue_capacity: usize) -> (usize, LinearP
     (system.num_states(), lp)
 }
 
-use dpm_bench::time_median_ns as time_median;
-
-/// Full-size instances (the 4018-state `scaled(48, 40)` class) only run
-/// when explicitly requested: CI's per-PR smoke keeps to the 208- and
-/// 1050-state sizes, the release-gated job exports this variable.
-fn full_sizes() -> bool {
-    std::env::var_os("DPM_BENCH_FULL").is_some()
-}
-
-/// Records one revised-simplex solve of `lp`, attaching the
-/// factorization and pricing counters from a session solve to the JSON
-/// record.
-fn bench_revised(
-    group: &mut criterion::BenchmarkGroup<'_>,
-    name: &str,
-    states: usize,
-    lp: &LinearProgram,
-) {
-    group.bench_with_input(BenchmarkId::new(name, states), lp, |b, lp| {
-        b.iter(|| {
-            RevisedSimplex::new()
-                .solve(lp)
-                .expect("revised simplex solves the instance")
-        });
-        let mut session = RevisedSimplex::new().start(lp).expect("valid program");
-        let (_, report) = session.solve().expect("feasible instance");
-        b.counter("pivots", report.iterations as f64);
-        b.counter("refactorizations", report.refactorizations as f64);
-        b.counter("basis_updates", report.basis_updates as f64);
-        b.counter("fill_in_nnz", report.fill_in_nnz as f64);
-        b.counter("pricing_candidates", report.pricing_candidates as f64);
-        b.counter("devex_resets", report.devex_resets as f64);
-    });
-}
-
-/// Records one cold solve of `lp` under an explicit pricing rule with the
-/// pivot/pricing-effort counters attached.
-fn bench_priced(
-    group: &mut criterion::BenchmarkGroup<'_>,
-    rule: PricingRule,
-    states: usize,
-    lp: &LinearProgram,
-) {
-    group.bench_with_input(BenchmarkId::new(format!("{rule}"), states), lp, |b, lp| {
-        b.iter(|| {
-            RevisedSimplex::new()
-                .with_pricing(rule)
-                .solve(lp)
-                .expect("instance solves under every pricing rule")
-        });
-        let mut session = RevisedSimplex::new()
-            .with_pricing(rule)
-            .start(lp)
-            .expect("valid program");
-        let (_, report) = session.solve().expect("feasible instance");
-        b.counter("pivots", report.iterations as f64);
-        b.counter("pricing_candidates", report.pricing_candidates as f64);
-        b.counter("devex_resets", report.devex_resets as f64);
-        b.counter("refactorizations", report.refactorizations as f64);
-    });
-}
-
-fn bench_pricing_rules(c: &mut Criterion) {
-    // The tentpole claim of the devex/partial-pricing work: Dantzig's
-    // full-scan pricing (one sparse dot per nonbasic column per pivot)
-    // dominates cold-solve time on the occupation LPs, so devex over a
-    // bounded candidate list wins by a growing factor as the state space
-    // scales. Each record carries pivot and pricing-effort counters, so
-    // `scripts/bench_compare.py` can show scan-work alongside wall time.
-    let mut group = c.benchmark_group("pricing_rules");
-    group.sample_size(10);
-
-    for &(sleeps, queue) in &[(12usize, 7usize), (24, 20)] {
-        let (states, lp) = scaled_occupation_lp(sleeps, queue);
-        for rule in [PricingRule::Devex, PricingRule::Dantzig] {
-            bench_priced(&mut group, rule, states, &lp);
-        }
+fn lp_engines() {
+    let mut rows = Vec::new();
+    for (n, m) in [(20, 10), (60, 30), (120, 60)] {
+        let lp = random_lp(n, m);
+        rows.push(("simplex".into(), n, measure_lp(&Simplex::new(), &lp)));
+        rows.push((
+            "interior-point".into(),
+            n,
+            measure_lp(&InteriorPoint::new(), &lp),
+        ));
     }
+    print_table("lp_engines: random feasible LPs", "variables", &rows);
+}
 
-    // The ≥2× acceptance ratio at the 1050-state instance, recorded as a
-    // counter so PR-over-PR tables track it.
-    let (states, lp) = scaled_occupation_lp(24, 20);
-    let devex_over_dantzig = time_median(|| {
-        RevisedSimplex::new()
-            .with_pricing(PricingRule::Dantzig)
-            .solve(&lp)
-            .expect("dantzig solves")
-    }) / time_median(|| {
-        RevisedSimplex::new()
-            .with_pricing(PricingRule::Devex)
-            .solve(&lp)
-            .expect("devex solves")
-    });
-    println!(
-        "pricing_rules: devex speedup over dantzig at {states} states: {devex_over_dantzig:.2}x"
+fn disk_policy_optimization() {
+    // The paper's 66-state, 5-command disk LP (330 state-action vars).
+    let system = disk::system().expect("disk model composes");
+    let rows: Vec<_> = [
+        SolverKind::RevisedSimplex,
+        SolverKind::Simplex,
+        SolverKind::InteriorPoint,
+    ]
+    .into_iter()
+    .map(|kind| {
+        let optimizer = PolicyOptimizer::new(&system)
+            .horizon(1_000_000.0)
+            .goal(OptimizationGoal::MinimizePower)
+            .max_performance_penalty(0.5)
+            .max_request_loss_rate(0.05)
+            .solver(kind);
+        (
+            format!("{kind:?}"),
+            system.num_states(),
+            measure_policy(&optimizer),
+        )
+    })
+    .collect();
+    print_table("disk_policy_optimization: LP4 per engine", "states", &rows);
+}
+
+fn toy_policy_optimization() {
+    let system = toy::example_system().expect("toy model composes");
+    let optimizer = PolicyOptimizer::new(&system)
+        .discount(0.99999)
+        .max_performance_penalty(0.5)
+        .max_request_loss_rate(0.2);
+    let rows = [(
+        "toy_example_a2_lp4".to_string(),
+        system.num_states(),
+        measure_policy(&optimizer),
+    )];
+    print_table("toy_example_a2_lp4", "states", &rows);
+}
+
+fn state_space_scaling() {
+    // Fig. 13(b)'s scaling axis: SR memory k doubles the state count
+    // each step — the polynomial-growth claim made concrete.
+    let trace = BurstyTraceGenerator::new(0.02, 0.9)
+        .seed(1)
+        .generate(100_000);
+    let rows: Vec<_> = (1u32..=4)
+        .map(|k| {
+            let sr = SrExtractor::new(k)
+                .extract(&trace)
+                .expect("trace long enough");
+            let system = appendix_b::Config::baseline()
+                .system_with_requester(sr)
+                .expect("composes");
+            let optimizer = PolicyOptimizer::new(&system)
+                .horizon(100_000.0)
+                .max_performance_penalty(0.5)
+                .max_request_loss_rate(0.05);
+            (
+                format!("optimize k={k}"),
+                system.num_states(),
+                measure_policy(&optimizer),
+            )
+        })
+        .collect();
+    print_table(
+        "state_space_scaling: Appendix-B baseline, SR memory k",
+        "states",
+        &rows,
     );
-    group.bench_with_input(BenchmarkId::new("devex-speedup", states), &lp, |b, lp| {
-        b.iter(|| {
-            RevisedSimplex::new()
-                .with_pricing(PricingRule::Devex)
-                .solve(lp)
-                .expect("devex solves")
-        });
-        b.counter("devex_over_dantzig_x", devex_over_dantzig);
-    });
-
-    // The scaled(48, 40) class: 49 SP × 2 SR × 41 SQ = 4018 states and
-    // 196 882 state–action variables. Until devex pricing landed this
-    // size did not finish inside any reasonable bench budget (Dantzig
-    // alone scans ~10⁹ columns); it now cold-solves in seconds, but only
-    // the release-gated full run times it.
-    if full_sizes() {
-        let (states, lp) = scaled_occupation_lp(48, 40);
-        assert!(states >= 4000, "full-size instance shrank to {states}");
-        for rule in [PricingRule::Devex, PricingRule::Dantzig] {
-            bench_priced(&mut group, rule, states, &lp);
-        }
-    }
-    group.finish();
 }
 
-fn bench_sparse_occupation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("sparse_occupation");
-    group.sample_size(10);
+fn pricing_rules() {
+    // Dantzig's full-scan pricing (one sparse dot per nonbasic column
+    // per pivot) against devex over a bounded candidate list, cold, as
+    // the state space scales.
+    let mut rows = Vec::new();
+    let mut ratio = None;
+    for (sleeps, queue) in [(12, 7), (24, 20)] {
+        let (states, lp) = scaled_occupation_lp(sleeps, queue);
+        let devex = measure_lp(&RevisedSimplex::new().with_pricing(PricingRule::Devex), &lp);
+        let dantzig = measure_lp(
+            &RevisedSimplex::new().with_pricing(PricingRule::Dantzig),
+            &lp,
+        );
+        ratio = Some((states, dantzig.0 / devex.0));
+        rows.push((format!("{}", PricingRule::Devex), states, devex));
+        rows.push((format!("{}", PricingRule::Dantzig), states, dantzig));
+    }
+    print_table("pricing_rules: scaled Appendix-B LP4", "states", &rows);
+    if let Some((states, ratio)) = ratio {
+        println!("  devex speedup over dantzig at {states} states: {ratio:.2}x");
+    }
+}
 
+fn sparse_occupation() {
+    let mut rows = Vec::new();
     // Crossover point: at 30 states (4 sleep states, queue 2) the dense
-    // tableau is still competitive — both engines solve in sub-ms.
+    // tableau is still competitive.
     let (states, lp) = scaled_occupation_lp(4, 2);
     let engines: [Box<dyn LpSolver>; 2] =
         [Box::new(RevisedSimplex::new()), Box::new(Simplex::new())];
     for engine in &engines {
-        group.bench_with_input(BenchmarkId::new(engine.name(), states), &lp, |b, lp| {
-            b.iter(|| engine.solve(lp).expect("feasible instance"))
-        });
+        rows.push((engine.name().into(), states, measure_lp(&**engine, &lp)));
     }
 
-    // The 208-state acceptance instance of the sparse LP pipeline:
-    // 13 SP × 2 SR × 8 SQ states, 13 commands — 2704 state–action
-    // variables with >99% sparse balance rows. Two records: the sparse
-    // Markowitz-LU engine with Forrest–Tomlin updates (the default,
-    // `revised-simplex`) and the dense tableau (`simplex`), which used to
-    // DNF here with >3×10⁵ degenerate pivots and now solves in a few
-    // hundred thanks to steepest-edge pricing and the largest-pivot
-    // ratio-test tie-break.
+    // 208 states: 13 SP × 2 SR × 8 SQ, 13 commands — 2704 state–action
+    // variables with >99% sparse balance rows. The dense tableau solves
+    // it in a few hundred pivots thanks to steepest-edge pricing and the
+    // largest-pivot ratio-test tie-break.
     let (states, lp) = scaled_occupation_lp(12, 7);
-    bench_revised(&mut group, "revised-simplex", states, &lp);
-    group.bench_with_input(BenchmarkId::new("simplex", states), &lp, |b, lp| {
-        b.iter(|| {
-            let s = Simplex::new()
-                .solve(lp)
-                .expect("dense tableau now solves 208 states");
-            assert!(
-                lp.max_violation(s.x()) < 1e-7,
-                "dense solution must be feasible"
-            );
-        })
-    });
+    rows.push((
+        "revised-simplex".into(),
+        states,
+        measure_lp(&RevisedSimplex::new(), &lp),
+    ));
+    rows.push(("simplex".into(), states, measure_lp(&Simplex::new(), &lp)));
+    let dense = Simplex::new()
+        .solve(&lp)
+        .expect("dense tableau solves 208 states");
+    assert!(
+        lp.max_violation(dense.x()) < 1e-7,
+        "dense solution must be feasible"
+    );
 
-    // The ≥1000-state scale-up the sparse factorization unlocks:
-    // scaled(24, 20) composes 25 SP × 2 SR × 21 SQ = 1050 states and 25
-    // commands — 26 250 state–action variables over a ~1050-row basis.
+    // 1050 states: 25 SP × 2 SR × 21 SQ, 25 commands — 26 250
+    // state–action variables over a ~1050-row basis.
     let (states, lp) = scaled_occupation_lp(24, 20);
     assert!(
         states >= 1000,
         "scale acceptance instance shrank to {states} states"
     );
-    bench_revised(&mut group, "revised-simplex", states, &lp);
-
-    // The scaled(48, 40)-class instance (4018 states, 196 882 variables)
-    // that devex pricing unlocked; full runs only, see `full_sizes`.
-    if full_sizes() {
-        let (states, lp) = scaled_occupation_lp(48, 40);
-        bench_revised(&mut group, "revised-simplex", states, &lp);
-    }
-    group.finish();
+    rows.push((
+        "revised-simplex".into(),
+        states,
+        measure_lp(&RevisedSimplex::new(), &lp),
+    ));
+    print_table(
+        "sparse_occupation: scaled Appendix-B LP4 per engine",
+        "states",
+        &rows,
+    );
 }
 
-criterion_group!(
-    benches,
-    bench_lp_engines,
-    bench_disk_policy_optimization,
-    bench_toy_policy_optimization,
-    bench_state_space_scaling,
-    bench_pricing_rules,
-    bench_sparse_occupation
-);
-criterion_main!(benches);
+fn main() {
+    lp_engines();
+    disk_policy_optimization();
+    toy_policy_optimization();
+    state_space_scaling();
+    pricing_rules();
+    sparse_occupation();
+}

@@ -1,12 +1,13 @@
-//! Shared helpers for the benchmark harness binaries that regenerate
-//! every table and figure of the paper's evaluation (Section VI and
-//! Appendix B). Each binary prints the rows/series of its figure; see
-//! `EXPERIMENTS.md` for the paper-vs-measured record.
+//! Shared helpers for the binaries that regenerate every table and
+//! figure of the paper's evaluation (Section VI and Appendix B), and
+//! for the `solvers` bench. Each binary prints the rows/series of its
+//! figure; `docs/BENCHMARKING.md` lists them.
 //!
 //! Run them with, e.g.:
 //!
 //! ```text
 //! cargo run --release -p dpm-bench --bin fig06
+//! cargo bench -p dpm-bench --bench solvers
 //! ```
 
 #![forbid(unsafe_code)]
@@ -55,9 +56,9 @@ pub fn fmt_or_infeasible(value: Option<f64>, precision: usize) -> String {
     }
 }
 
-/// Median of three timed runs of `f`, in nanoseconds — the shared
-/// methodology behind every speedup ratio the benches write into tracked
-/// JSON records (one sample is too exposed to scheduler noise).
+/// Median of three timed runs of `f`, in nanoseconds (one sample is too
+/// exposed to scheduler noise). The `solvers` bench's timings and its
+/// devex-over-Dantzig ratio use it.
 pub fn time_median_ns<T>(mut f: impl FnMut() -> T) -> f64 {
     let mut samples: Vec<f64> = (0..3)
         .map(|_| {

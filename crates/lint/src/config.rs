@@ -67,13 +67,7 @@ pub const DETERMINISM_CRATES: [&str; 6] = ["linalg", "lp", "mdp", "core", "trace
 
 /// Crates that are tooling or vendored shims, exempt from the
 /// behavioral rules (they may time things, read env, etc.).
-const TOOLING_CRATES: [&str; 5] = [
-    "bench",
-    "lint",
-    "compat-rand",
-    "compat-proptest",
-    "compat-criterion",
-];
+const TOOLING_CRATES: [&str; 4] = ["bench", "lint", "compat-rand", "compat-proptest"];
 
 impl Default for LintConfig {
     fn default() -> Self {
@@ -97,7 +91,7 @@ impl Default for LintConfig {
         rules.insert("unsafe-needs-safety".to_string(), d4);
 
         let mut p1 = RuleConfig::new(Severity::Deny);
-        p1.exclude_crates = strs(&["compat-rand", "compat-proptest", "compat-criterion"]);
+        p1.exclude_crates = strs(&["compat-rand", "compat-proptest"]);
         rules.insert("panic-ratchet".to_string(), p1);
 
         LintConfig {

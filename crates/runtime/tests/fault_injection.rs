@@ -1,6 +1,7 @@
 //! Fault-containment acceptance tests: the escalation ladder under
 //! seeded solver faults, device quarantine and probation, telemetry
-//! poisoning at the ingest boundary, and checkpoint fuzzing.
+//! poisoning at the ingest boundary, checkpoint fuzzing, and the
+//! scripted [`hostile`] fault campaign end to end.
 //!
 //! The [`dpm_lp::fault`] registry is process-global, so every test in
 //! this binary takes the file-local mutex; CI additionally runs the
@@ -12,10 +13,11 @@ use dpm_core::ServiceRequester;
 use dpm_lp::fault::{self, FaultPlan};
 use dpm_runtime::service::ClassId;
 use dpm_runtime::{
-    AdaptiveConfig, AdaptiveController, DeviceHealth, DeviceId, FleetConfig, FleetService,
-    LadderRung, SnapshotError,
+    AdaptiveConfig, AdaptiveController, DeviceHealth, DeviceId, FleetConfig, FleetReport,
+    FleetService, LadderRung, SnapshotError,
 };
 use dpm_systems::drifting;
+use dpm_systems::hostile::{self, HostileSchedule};
 use dpm_trace::WindowKind;
 
 static LOCK: Mutex<()> = Mutex::new(());
@@ -424,4 +426,135 @@ fn snapshot_fuzz_never_panics_and_never_accepts_damage() {
     target
         .restore(&mut snapshot.as_slice())
         .expect("the clean snapshot still restores after the fuzz");
+}
+
+// ---------------------------------------------------------------------
+// The scripted hostile campaign: corrupted telemetry on one rack and
+// armed budget faults on the other, then recovery. The outcome is known
+// exactly: the fleet heals completely and converges to the policies of
+// a never-faulted control run.
+
+fn campaign_config() -> FleetConfig {
+    FleetConfig::new()
+        .adaptive(
+            AdaptiveConfig::new()
+                .memory(hostile::MEMORY)
+                .smoothing(hostile::SMOOTHING)
+                .horizon(2_000.0)
+                .max_performance_penalty(drifting::QUEUE_BOUND)
+                .max_request_loss_rate(drifting::LOSS_BOUND)
+                .window(WindowKind::Sliding(hostile::EPOCH_SLICES)),
+        )
+        .cluster_divergence(0.1)
+        .resolve_divergence(0.05)
+}
+
+/// Plays the whole schedule. With `hostile_run`, victim telemetry is
+/// corrupted and the scenario's budget-fault plan is armed for exactly
+/// the fault window; without it the same schedule plays back clean.
+fn run_campaign(schedule: &HostileSchedule, hostile_run: bool) -> (FleetService, Vec<FleetReport>) {
+    let mut service = FleetService::new(campaign_config());
+    let class = service
+        .register_class(&hostile::system().expect("system composes"))
+        .expect("class registers");
+    for _ in 0..schedule.devices() {
+        service.add_device(class).expect("device adds");
+    }
+    let window = schedule.fault_window();
+    let mut faults = None;
+    let mut reports = Vec::with_capacity(schedule.total_epochs());
+    for epoch in 0..schedule.total_epochs() {
+        if hostile_run && epoch == window.start {
+            faults = Some(fault::install(
+                FaultPlan::new(hostile::FAULT_SEED).exhaust_budgets(hostile::EXHAUST_RATE),
+            ));
+        }
+        if epoch == window.end {
+            faults = None;
+        }
+        let telemetry: Vec<(DeviceId, Vec<f64>)> = service
+            .device_ids()
+            .iter()
+            .copied()
+            .zip(schedule.epoch_telemetry(epoch, hostile_run))
+            .collect();
+        let report = service
+            .run_epoch_telemetry(&telemetry)
+            .unwrap_or_else(|e| panic!("campaign epoch {epoch}: {e}"));
+        reports.push(report);
+    }
+    drop(faults);
+    (service, reports)
+}
+
+#[test]
+fn hostile_campaign_recovers_to_the_control_runs_policies() {
+    let _guard = serialized();
+    let schedule = HostileSchedule::new();
+    let (clean, clean_reports) = run_campaign(&schedule, false);
+    let (campaign, reports) = run_campaign(&schedule, true);
+    let sum = |reports: &[FleetReport], f: fn(&FleetReport) -> usize| -> usize {
+        reports.iter().map(f).sum()
+    };
+
+    // The control run never sees containment.
+    assert_eq!(
+        sum(&clean_reports, |r| r.quarantines),
+        0,
+        "clean run quarantined"
+    );
+    assert_eq!(sum(&clean_reports, |r| r.holds), 0, "clean run held");
+    assert_eq!(sum(&clean_reports, |r| r.errors), 0, "clean run errored");
+
+    // Every victim is quarantined and readmitted, and the ladder
+    // engages without a cold-rebuild storm.
+    let victims = hostile::DEVICES_PER_RACK;
+    assert_eq!(sum(&reports, |r| r.quarantines), victims);
+    assert_eq!(sum(&reports, |r| r.readmissions), victims);
+    assert!(
+        sum(&reports, |r| r.holds) >= 1,
+        "the ladder never reached a held epoch"
+    );
+    let cold_rebuilds = sum(&reports, |r| r.cold_rebuilds);
+    assert!(
+        cold_rebuilds <= 2 * schedule.total_epochs(),
+        "cold-rebuild storm: {cold_rebuilds} cold rebuilds"
+    );
+
+    // The fleet ends 100% healthy, within the recovery budget.
+    let last = reports.last().expect("campaign ran");
+    assert_eq!(
+        last.healthy,
+        schedule.devices(),
+        "fleet did not end healthy"
+    );
+    assert_eq!(last.quarantined, 0, "devices still quarantined");
+    assert_eq!(last.degraded, 0, "devices still degraded");
+    let recovery = reports[schedule.fault_window().end..]
+        .iter()
+        .position(|r| r.healthy == r.devices)
+        .map_or(usize::MAX, |i| i + 1);
+    assert!(
+        recovery <= hostile::RECOVERY_EPOCHS,
+        "recovery took {recovery} epochs"
+    );
+    for &id in campaign.device_ids() {
+        assert_eq!(campaign.health_of(id), Some(DeviceHealth::Healthy));
+    }
+
+    // The final policies are bit-identical to the control run's.
+    let bits = |rows: &[Vec<f64>]| -> Vec<Vec<u64>> {
+        rows.iter()
+            .map(|row| row.iter().map(|p| p.to_bits()).collect())
+            .collect()
+    };
+    for &id in clean.device_ids() {
+        let expected = clean.policy(id).expect("clean policy");
+        let served = campaign.policy(id).expect("campaign policy");
+        assert_eq!(
+            bits(expected.decisions()),
+            bits(served.decisions()),
+            "device {id} diverged from the control run"
+        );
+    }
 }

@@ -31,14 +31,16 @@
 //! ```text
 //! cargo build --release          # optimized build (lto, codegen-units=1)
 //! cargo test -q --workspace      # unit + integration + property + doc tests
-//! cargo bench --workspace        # microbenchmarks (offline criterion shim)
+//! cargo bench -p dpm-bench --bench solvers       # LP engine tables
 //! cargo run --release -p dpm-bench --bin table1   # reproduce a paper table
 //! ```
 //!
-//! The build is fully offline: third-party crates (`rand`, `proptest`,
-//! `criterion`) are shadowed by in-workspace stand-ins under
-//! `crates/compat/` that implement the API slice this workspace uses.
-//! See `ROADMAP.md` for the crate dependency diagram.
+//! Performance is measured with the repository benchmark in
+//! `perfbench/` (see `docs/BENCHMARKING.md`). The build is fully
+//! offline: the third-party crates `rand` and `proptest` are shadowed by
+//! in-workspace stand-ins under `crates/compat/` that implement the API
+//! slice this workspace uses. See `ROADMAP.md` for the crate dependency
+//! diagram.
 //!
 //! # Quickstart
 //!
@@ -86,7 +88,7 @@
 //! static and heuristic baselines; on the regime-switching workload of
 //! [`systems::drifting`] it beats the static LP-optimal policy's power
 //! while every per-epoch solve respects the performance constraint (see
-//! `tests/adaptive_runtime.rs` and the `adaptive_runtime` benchmark).
+//! `tests/adaptive_runtime.rs`).
 //!
 //! ```no_run
 //! use dpm::runtime::{AdaptiveConfig, AdaptiveController};

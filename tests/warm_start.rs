@@ -1,14 +1,17 @@
 //! Warm-started sweep correctness: property tests that the stateful
 //! session path (`PolicyOptimizer::prepare` + `ParetoExplorer::sweep`)
 //! agrees with independent per-point cold solves across random feasible
-//! systems and all three LP engines, plus the `ParetoCurve` edge cases —
-//! all-points-infeasible sweeps and duplicate-bounds sweeps.
+//! systems and all three LP engines, the same agreement on the paper's
+//! disk drive and the scaled Appendix-B instances, plus the
+//! `ParetoCurve` edge cases — all-points-infeasible sweeps and
+//! duplicate-bounds sweeps.
 
 use dpm::core::{
-    DpmError, ParetoExplorer, PolicyOptimizer, ServiceProvider, ServiceQueue, ServiceRequester,
-    SolverKind, SweepTarget, SystemModel,
+    DpmError, OptimizationGoal, ParetoCurve, ParetoExplorer, PolicyOptimizer, ServiceProvider,
+    ServiceQueue, ServiceRequester, SolverKind, SweepTarget, SystemModel,
 };
 use dpm::lp::InfeasibilityCertificate;
+use dpm::systems::{appendix_b, disk};
 use proptest::prelude::*;
 
 /// A random probability in [lo, hi].
@@ -220,5 +223,91 @@ fn prepared_optimization_retargets_custom_constraints() {
     assert!(
         matches!(err, DpmError::BadConfiguration { .. }),
         "power bound was never configured, so its row does not exist"
+    );
+}
+
+/// Sweeps `bounds` twice: warm, through one prepared session, and cold,
+/// with a full prepare and solve per point. Asserts the two curves
+/// agree point for point: the same feasibility pattern, and objectives
+/// within 1e-6. Returns the warm curve.
+fn assert_warm_sweep_matches_cold<'a>(
+    label: &str,
+    base: impl Fn() -> PolicyOptimizer<'a>,
+    bounds: &[f64],
+) -> ParetoCurve {
+    let warm = ParetoExplorer::sweep_performance(base(), bounds).expect("warm sweep runs");
+    let cold = ParetoExplorer::sweep_with(base(), bounds, |optimizer, bound| {
+        optimizer.max_performance_penalty(bound)
+    })
+    .expect("cold sweep runs");
+    assert_eq!(warm.points().len(), cold.points().len(), "{label}");
+    for (w, c) in warm.points().iter().zip(cold.points()) {
+        assert_eq!(
+            w.is_feasible(),
+            c.is_feasible(),
+            "{label} bound {}",
+            w.bound
+        );
+        if let (Some(wo), Some(co)) = (w.objective(), c.objective()) {
+            assert!(
+                (wo - co).abs() < 1e-6,
+                "{label} bound {}: warm {wo} vs cold {co}",
+                w.bound
+            );
+        }
+    }
+    warm
+}
+
+/// LP4 on a scaled Appendix-B system: minimum power under a queue bound
+/// (swept) and a 5% loss bound.
+fn scaled_lp4(system: &SystemModel) -> PolicyOptimizer<'_> {
+    PolicyOptimizer::new(system)
+        .horizon(100_000.0)
+        .max_request_loss_rate(0.05)
+}
+
+#[test]
+fn warm_pareto_sweeps_match_cold_on_disk_and_scaled_appendix_b() {
+    // The paper's disk drive (66 states), Fig. 6-style, from slack down
+    // toward the feasibility floor.
+    let disk_system = disk::system().expect("disk model composes");
+    assert_warm_sweep_matches_cold(
+        "disk",
+        || {
+            PolicyOptimizer::new(&disk_system)
+                .horizon(1_000_000.0)
+                .goal(OptimizationGoal::MinimizePower)
+                .max_request_loss_rate(0.05)
+        },
+        &[0.5, 0.4, 0.3, 0.2, 0.15, 0.1, 0.07, 0.05],
+    );
+    // The scaled Appendix-B instance: 208 states, 13 commands.
+    let scaled = appendix_b::Config::scaled(12, 7)
+        .system()
+        .expect("scaled appendix-B composes");
+    assert_warm_sweep_matches_cold(
+        "appendix_b",
+        || scaled_lp4(&scaled),
+        &[1.2, 1.0, 0.9, 0.8, 0.7, 0.6],
+    );
+}
+
+#[test]
+#[ignore = "ROADMAP item 1: at queue 1.2 the seeded revised simplex fails \
+            (basic variable negative) and both sweeps fall into the dense \
+            interior-point rescue, which ran 55 minutes without finishing; \
+            run with `cargo test --release --test warm_start -- --ignored`"]
+fn warm_pareto_sweep_matches_cold_at_1050_states() {
+    // 25 SP x 2 SR x 21 SQ = 1050 states, 25 commands.
+    let huge = appendix_b::Config::scaled(24, 20)
+        .system()
+        .expect("huge appendix-B composes");
+    assert!(huge.num_states() >= 1000);
+    let warm =
+        assert_warm_sweep_matches_cold("appendix_b_huge", || scaled_lp4(&huge), &[1.2, 1.0, 0.8]);
+    assert!(
+        warm.feasible().len() >= 2,
+        "the 1050-state sweep must actually trace a curve"
     );
 }
