@@ -29,8 +29,10 @@
 //! model has moved at least the configured divergence since the last
 //! solve, and never again within the cooldown window.
 //!
-//! See `docs/FLEET.md` for the design notes and the `fleet` benchmark
-//! for throughput-vs-workers and solves-vs-devices measurements.
+//! See `docs/FLEET.md` for the design notes. The unit tests below and
+//! `crates/runtime/tests/fleet_clustering.rs` check that the results
+//! are identical for every worker count and that clustering cuts the
+//! solves below one per device.
 //!
 //! # Example
 //!
@@ -61,20 +63,20 @@
 use std::sync::Arc;
 
 use dpm_core::{
-    DpmError, PolicyOptimizer, PreparedOptimization, ServiceProvider, ServiceQueue,
+    DpmError, PolicySolution, PreparedOptimization, ServiceProvider, ServiceQueue,
     ServiceRequester, SystemModel,
 };
 use dpm_lp::ReloadKind;
 use dpm_mdp::RandomizedPolicy;
-use dpm_trace::{SrExtractor, WindowedEstimator};
+use dpm_trace::WindowedEstimator;
 
-use crate::AdaptiveConfig;
+use crate::{climb_warm_rungs, AdaptiveConfig, LadderRung};
 
 /// Configuration of a [`FleetController`] (builder style).
 ///
 /// Wraps an [`AdaptiveConfig`] for the per-device estimator and
 /// per-cluster LP knobs (memory, smoothing, window, discount, bounds,
-/// solver, `resolve_cooldown`, `blend_fits`) and adds the fleet-level
+/// solver, `resolve_cooldown`, `solve_budget`) and adds the fleet-level
 /// ones. Defaults: 1 worker, cluster threshold 0.05, re-solve threshold
 /// 0.02.
 ///
@@ -336,18 +338,12 @@ pub(crate) struct SolveOutcome {
     symbolic_reuse: usize,
     infeasible: bool,
     error: Option<String>,
-    /// Rung 1: warm retries taken on the untouched session.
-    warm_retries: usize,
-    /// Rung 2: a forced refactorization preceded the last warm attempt.
-    forced_refactor: bool,
-    /// Rung 3 requested: the warm ladder failed; the sequential
-    /// cold-rebuild pass owns this cluster.
-    needs_cold: bool,
-    /// Rung 3 taken: a fresh fork of the class base solved the epoch.
-    cold_rebuilt: bool,
-    /// Rung 4: nothing solved — the last-good policy holds and the
-    /// cluster backs off exponentially.
-    held: bool,
+    /// The highest escalation-ladder rung climbed ([`LadderRung::Direct`]
+    /// also when the model swap failed before any solve). The parallel
+    /// phase leaves [`LadderRung::ColdRebuild`] on a cluster whose warm
+    /// rungs all failed; the sequential cold pass then settles it as a
+    /// rebuild (solved or infeasible) or a [`LadderRung::Hold`].
+    rung: LadderRung,
 }
 
 /// A group of devices sharing one fitted regime, one LP session and one
@@ -483,28 +479,8 @@ impl FleetController {
     /// problem must be feasible on the given model, and estimator/LP
     /// construction failures propagate.
     pub fn add_class(&mut self, system: &SystemModel, count: usize) -> Result<usize, DpmError> {
-        let config = &self.config.base;
-        let expected = 1usize.checked_shl(config.memory).unwrap_or(0);
-        if config.memory == 0 || system.requester().num_states() != expected {
-            return Err(DpmError::BadConfiguration {
-                reason: format!(
-                    "fleet class with memory {} needs a {expected}-state SR, the system has {}",
-                    config.memory,
-                    system.requester().num_states()
-                ),
-            });
-        }
-        let mut optimizer = PolicyOptimizer::new(system)
-            .discount(config.discount)
-            .solver(config.solver);
-        if let Some(bound) = config.max_performance_penalty {
-            optimizer = optimizer.max_performance_penalty(bound);
-        }
-        if let Some(bound) = config.max_request_loss_rate {
-            optimizer = optimizer.max_request_loss_rate(bound);
-        }
-        let mut base = optimizer.prepare()?;
-        base.set_budget(config.solve_budget);
+        self.config.base.check_system(system)?;
+        let mut base = self.config.base.prepare(system)?;
         let base_policy = Arc::new(base.solve()?.policy().clone());
 
         let class = self.classes.len();
@@ -541,7 +517,7 @@ impl FleetController {
                 ),
             });
         };
-        let estimator = Self::build_estimator(&self.config.base)?;
+        let estimator = self.config.base.estimator()?;
         self.devices.push(Device {
             class,
             estimator,
@@ -608,17 +584,6 @@ impl FleetController {
         Ok(())
     }
 
-    /// An empty per-device estimator per the adaptive configuration.
-    pub(crate) fn build_estimator(config: &AdaptiveConfig) -> Result<WindowedEstimator, DpmError> {
-        let extractor = SrExtractor::try_new(config.memory)?.with_smoothing(config.smoothing);
-        let estimator = WindowedEstimator::new(extractor, config.effective_window())?;
-        Ok(if config.blend_fits {
-            estimator.with_blending()
-        } else {
-            estimator
-        })
-    }
-
     /// Devices in the fleet.
     pub fn devices(&self) -> usize {
         self.devices.len()
@@ -651,8 +616,8 @@ impl FleetController {
 
     /// The latest fitted model of device `index` (`None` until its
     /// estimator produced a fit) — what a solve-per-device deployment
-    /// would solve for; the `fleet` benchmark prices its baseline off
-    /// this.
+    /// would solve for; `crates/runtime/tests/fleet_clustering.rs`
+    /// prices its solve-per-device baseline off this.
     ///
     /// # Panics
     ///
@@ -828,8 +793,7 @@ impl FleetController {
                     self.devices[d].cluster = Some(c);
                 }
                 None => {
-                    let mut session = self.classes[class].base.fork()?;
-                    session.set_budget(self.config.base.solve_budget);
+                    let session = self.classes[class].base.fork()?;
                     self.devices[d].cluster = Some(self.clusters.len());
                     self.clusters.push(Cluster {
                         class,
@@ -919,38 +883,29 @@ impl FleetController {
     /// 4: it holds its last-good policy and arms the exponential
     /// backoff.
     fn rebuild_cold(&mut self) {
-        let budget = self.config.base.solve_budget;
-        for c in 0..self.clusters.len() {
-            if !self.clusters[c]
+        for cluster in &mut self.clusters {
+            let Some(mut outcome) = cluster
                 .outcome
-                .as_ref()
-                .is_some_and(|o| o.needs_cold)
-            {
+                .take_if(|o| o.rung == LadderRung::ColdRebuild)
+            else {
                 continue;
-            }
-            let class = self.clusters[c].class;
-            let rebuilt = self.classes[class].base.fork().and_then(|mut session| {
-                session.set_budget(budget);
+            };
+            let class = &self.classes[cluster.class];
+            let rebuilt = class.base.fork().and_then(|mut session| {
                 let system = SystemModel::compose(
-                    self.classes[class].provider.clone(),
-                    self.clusters[c].rep_model.clone(),
-                    self.classes[class].queue,
+                    class.provider.clone(),
+                    cluster.rep_model.clone(),
+                    class.queue,
                 )?;
                 session.update_model(system.chain())?;
                 let solution = session.solve()?;
                 Ok((session, solution))
             });
-            let cluster = &mut self.clusters[c];
-            let outcome = cluster
-                .outcome
-                .as_mut()
-                .expect("needs_cold implies an outcome");
             match rebuilt {
                 Ok((session, solution)) => {
                     let report = solution.solve_report();
                     outcome.pivots += report.iterations;
                     outcome.symbolic_reuse += report.symbolic_reuse;
-                    outcome.cold_rebuilt = true;
                     outcome.error = None;
                     cluster.session = session;
                     cluster.adopt(&solution);
@@ -961,11 +916,12 @@ impl FleetController {
                 }
                 Err(e) => {
                     outcome.error = Some(e.to_string());
-                    outcome.held = true;
+                    outcome.rung = LadderRung::Hold;
                     cluster.consecutive_holds = cluster.consecutive_holds.saturating_add(1);
                     cluster.backoff_left = 1u64 << cluster.consecutive_holds.min(6);
                 }
             }
+            cluster.outcome = Some(outcome);
         }
     }
 
@@ -1018,16 +974,14 @@ impl FleetController {
                     if outcome.error.is_some() {
                         report.errors += 1;
                     }
-                    report.warm_retries += outcome.warm_retries;
-                    if outcome.forced_refactor {
-                        report.forced_refactors += 1;
-                    }
-                    if outcome.cold_rebuilt {
-                        report.cold_rebuilds += 1;
-                    }
-                    if outcome.held {
-                        report.holds += 1;
-                    }
+                    // Every rung climbed passed the ones below it; an
+                    // infeasible cold rebuild is not counted as one.
+                    let rung = outcome.rung;
+                    report.warm_retries += usize::from(rung >= LadderRung::WarmRetry);
+                    report.forced_refactors += usize::from(rung >= LadderRung::ForcedRefactor);
+                    report.cold_rebuilds +=
+                        usize::from(rung == LadderRung::ColdRebuild && !outcome.infeasible);
+                    report.holds += usize::from(rung == LadderRung::Hold);
                 }
             }
         }
@@ -1066,7 +1020,7 @@ impl FleetController {
             let Some(outcome) = cluster.outcome.as_ref() else {
                 continue;
             };
-            if outcome.held {
+            if outcome.rung == LadderRung::Hold {
                 if let Some(&rep) = cluster.members.first() {
                     self.devices[rep].strike_pending = true;
                 }
@@ -1125,7 +1079,7 @@ impl FleetController {
 impl Cluster {
     /// Records a successful solve: adopt the policy, clear the hold
     /// backoff, restart the event-gate cooldown.
-    fn adopt(&mut self, solution: &dpm_core::PolicySolution) {
+    fn adopt(&mut self, solution: &PolicySolution) {
         self.policy = Arc::new(solution.policy().clone());
         self.power = Some(solution.power_per_slice());
         self.last_solved = Some(self.representative.clone());
@@ -1136,12 +1090,11 @@ impl Cluster {
 
     /// Recomposes the class system around the representative model,
     /// swaps it into the cluster's forked session and re-solves,
-    /// climbing the warm rungs of the escalation ladder on failure:
-    /// plain solve → warm retry → forced refactorization. A cluster
-    /// that exhausts the warm rungs is handed to the sequential
-    /// cold-rebuild pass via [`SolveOutcome::needs_cold`]. On success
-    /// the cluster's shared policy is replaced; on any failure the
-    /// previous policy stands.
+    /// climbing the warm rungs of the escalation ladder on failure
+    /// ([`climb_warm_rungs`]). A cluster that exhausts the warm rungs
+    /// leaves [`LadderRung::ColdRebuild`] for the sequential cold pass.
+    /// On success the cluster's shared policy is replaced; on any
+    /// failure the previous policy stands.
     fn resolve(&mut self, provider: &ServiceProvider, queue: ServiceQueue) -> SolveOutcome {
         let mut outcome = SolveOutcome {
             reload: None,
@@ -1149,11 +1102,7 @@ impl Cluster {
             symbolic_reuse: 0,
             infeasible: false,
             error: None,
-            warm_retries: 0,
-            forced_refactor: false,
-            needs_cold: false,
-            cold_rebuilt: false,
-            held: false,
+            rung: LadderRung::Direct,
         };
         let system = match SystemModel::compose(provider.clone(), self.rep_model.clone(), queue) {
             Ok(system) => system,
@@ -1169,45 +1118,21 @@ impl Cluster {
                 return outcome;
             }
         }
-        for attempt in 0..3 {
-            if attempt == 2 {
-                // Rung 2: a budget-exhausted or numerically troubled
-                // basis may be beyond warm repair — rebuild the factors
-                // from scratch before the last warm attempt.
-                outcome.forced_refactor = true;
-                self.session.force_refactor();
-            }
-            match self.session.solve() {
-                Ok(solution) => {
-                    let report = solution.solve_report();
-                    outcome.pivots += report.iterations;
-                    outcome.symbolic_reuse += report.symbolic_reuse;
-                    // A recovered solve is a clean solve: earlier rungs'
-                    // errors are part of the journey, not the verdict.
-                    outcome.error = None;
-                    self.adopt(&solution);
-                    return outcome;
-                }
-                Err(DpmError::Infeasible) => {
-                    let report = self.session.last_report();
-                    outcome.pivots += report.iterations;
-                    outcome.symbolic_reuse += report.symbolic_reuse;
-                    outcome.infeasible = true;
-                    outcome.error = None;
-                    return outcome;
-                }
-                Err(e) => {
-                    let report = self.session.last_report();
-                    outcome.pivots += report.iterations;
-                    outcome.symbolic_reuse += report.symbolic_reuse;
-                    outcome.error = Some(e.to_string());
-                    if attempt == 0 {
-                        outcome.warm_retries += 1;
-                    }
-                }
+        let (rung, warm) = climb_warm_rungs(&mut self.session, |report| {
+            outcome.pivots += report.iterations;
+            outcome.symbolic_reuse += report.symbolic_reuse;
+        });
+        outcome.rung = rung;
+        // A recovered solve is a clean solve: earlier rungs' errors are
+        // part of the journey, not the verdict.
+        match warm {
+            Ok(solution) => self.adopt(&solution),
+            Err(DpmError::Infeasible) => outcome.infeasible = true,
+            Err(e) => {
+                outcome.error = Some(e.to_string());
+                outcome.rung = LadderRung::ColdRebuild;
             }
         }
-        outcome.needs_cold = true;
         outcome
     }
 }

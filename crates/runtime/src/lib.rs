@@ -7,8 +7,8 @@
 //! time without abandoning the paper's LP-optimal core:
 //!
 //! 1. a streaming [`WindowedEstimator`]
-//!    re-fits the k-memory SR model of Section V over a sliding or
-//!    exponential-decay window of the live arrival stream;
+//!    re-fits the k-memory SR model of Section V over a sliding window
+//!    of the live arrival stream;
 //! 2. every epoch the re-fitted chain is recomposed and **hot-swapped**
 //!    into the standing occupation-LP session
 //!    ([`PreparedOptimization::update_model`]), which keeps its optimal
@@ -68,7 +68,7 @@ pub use fleet::{DeviceHealth, FleetConfig, FleetController, FleetReport};
 pub use service::{ClassId, DeviceId, FleetService, RestoreReport, SnapshotError};
 
 use dpm_core::{
-    DpmError, PolicyOptimizer, PreparedOptimization, ServiceProvider, ServiceQueue,
+    DpmError, PolicyOptimizer, PolicySolution, PreparedOptimization, ServiceProvider, ServiceQueue,
     ServiceRequester, SolverKind, SystemModel,
 };
 use dpm_lp::{ReloadKind, SolveBudget, SolveReport};
@@ -85,8 +85,8 @@ use rand::Rng;
 /// what keeps the per-epoch reloads warm), a sliding window of 4 epochs,
 /// a 100 000-slice horizon, no constraints, the
 /// [`SolverKind::RevisedSimplex`] engine, re-solve on any drift
-/// (`min_divergence = 0`), no re-solve cooldown, no fit blending, and
-/// command 0 as the serve-at-all-costs fallback for infeasible epochs.
+/// (`min_divergence = 0`), no re-solve cooldown, and command 0 as the
+/// serve-at-all-costs fallback for infeasible epochs.
 #[derive(Debug, Clone)]
 pub struct AdaptiveConfig {
     pub(crate) epoch_slices: u64,
@@ -99,7 +99,6 @@ pub struct AdaptiveConfig {
     pub(crate) solver: SolverKind,
     pub(crate) min_divergence: f64,
     pub(crate) resolve_cooldown: u64,
-    pub(crate) blend_fits: bool,
     pub(crate) wake_command: usize,
     pub(crate) solve_budget: SolveBudget,
 }
@@ -124,7 +123,6 @@ impl AdaptiveConfig {
             solver: SolverKind::default(),
             min_divergence: 0.0,
             resolve_cooldown: 0,
-            blend_fits: false,
             wake_command: 0,
             solve_budget: SolveBudget::UNLIMITED,
         }
@@ -227,19 +225,6 @@ impl AdaptiveConfig {
         self
     }
 
-    /// Confidence-weighted blending of consecutive fits: the estimator
-    /// carries the previous blended fit as a pseudo-count prior weighted
-    /// by effective sample count (see
-    /// [`WindowedEstimator::with_blending`]), so a sparsely observed
-    /// epoch moves the deployed model less than a data-rich one. Off by
-    /// default — blending trades regime-switch response time for
-    /// stability under thin windows.
-    #[must_use = "builder methods return the configured value; dropping it discards the configuration"]
-    pub fn blend_fits(mut self) -> Self {
-        self.blend_fits = true;
-        self
-    }
-
     /// Caps the work of every solve on the standing session (pivots
     /// and/or refactorizations, see [`SolveBudget`]). An exhausted
     /// budget is a planned, recoverable stop: the epoch climbs the
@@ -264,18 +249,58 @@ impl AdaptiveConfig {
         self
     }
 
-    fn effective_window(&self) -> WindowKind {
-        self.window.unwrap_or(WindowKind::Sliding(
+    /// Checks that `system`'s SR has the `2^memory` states the estimator
+    /// refits: policy tables are indexed by the observed composite
+    /// state, so the state spaces must align.
+    pub(crate) fn check_system(&self, system: &SystemModel) -> Result<(), DpmError> {
+        let expected = 1usize.checked_shl(self.memory).unwrap_or(0);
+        if self.memory == 0 || system.requester().num_states() != expected {
+            return Err(DpmError::BadConfiguration {
+                reason: format!(
+                    "an estimator of memory {} needs a {expected}-state SR, the system has {}",
+                    self.memory,
+                    system.requester().num_states()
+                ),
+            });
+        }
+        Ok(())
+    }
+
+    /// An empty estimator: the configured memory and smoothing over the
+    /// configured window (default: sliding over 4 epochs).
+    pub(crate) fn estimator(&self) -> Result<WindowedEstimator, DpmError> {
+        let extractor = SrExtractor::try_new(self.memory)?.with_smoothing(self.smoothing);
+        let window = self.window.unwrap_or(WindowKind::Sliding(
             (4 * self.epoch_slices as usize).max(self.memory as usize + 1),
-        ))
+        ));
+        WindowedEstimator::new(extractor, window)
+    }
+
+    /// A fresh prepared session for `system` under the configured
+    /// discount, engine, bounds and solve budget (its forks inherit the
+    /// budget).
+    pub(crate) fn prepare(&self, system: &SystemModel) -> Result<PreparedOptimization, DpmError> {
+        let mut optimizer = PolicyOptimizer::new(system)
+            .discount(self.discount)
+            .solver(self.solver);
+        if let Some(bound) = self.max_performance_penalty {
+            optimizer = optimizer.max_performance_penalty(bound);
+        }
+        if let Some(bound) = self.max_request_loss_rate {
+            optimizer = optimizer.max_request_loss_rate(bound);
+        }
+        let mut prepared = optimizer.prepare()?;
+        prepared.set_budget(self.solve_budget);
+        Ok(prepared)
     }
 }
 
 /// The highest rung of the failure-escalation ladder an epoch's
 /// re-solve climbed before it produced an answer (or gave up). Rungs
 /// are tried in order; each is strictly more expensive and strictly
-/// more likely to recover than the one before.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// more likely to recover than the one before, so rungs order bottom
+/// (`Direct`) to top (`Hold`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum LadderRung {
     /// The first warm attempt solved — the everyday path.
     Direct,
@@ -293,9 +318,44 @@ pub enum LadderRung {
     Hold,
 }
 
+/// Climbs the warm rungs of the escalation ladder on `prepared`: a plain
+/// solve ([`LadderRung::Direct`]), a retry on the untouched session
+/// ([`LadderRung::WarmRetry`]), then a solve after a forced
+/// refactorization ([`LadderRung::ForcedRefactor`]). Stops at the first
+/// attempt that solves or proves the model infeasible; `attempt` sees
+/// every attempt's report. Returns the rung of the last attempt and its
+/// verdict: an error other than [`DpmError::Infeasible`] means every
+/// warm rung failed, and the cold rung is the caller's.
+pub(crate) fn climb_warm_rungs(
+    prepared: &mut PreparedOptimization,
+    mut attempt: impl FnMut(&SolveReport),
+) -> (LadderRung, Result<PolicySolution, DpmError>) {
+    let mut rung = LadderRung::Direct;
+    loop {
+        let solved = prepared.solve();
+        attempt(match &solved {
+            Ok(solution) => solution.solve_report(),
+            Err(_) => prepared.last_report(),
+        });
+        let failed = matches!(&solved, Err(e) if !matches!(e, DpmError::Infeasible));
+        rung = match rung {
+            LadderRung::Direct if failed => LadderRung::WarmRetry,
+            LadderRung::WarmRetry if failed => {
+                // A budget-exhausted or numerically troubled basis may be
+                // beyond warm repair: rebuild the factors from scratch
+                // before the last warm attempt.
+                prepared.force_refactor();
+                LadderRung::ForcedRefactor
+            }
+            _ => return (rung, solved),
+        };
+    }
+}
+
 /// What one epoch of the adaptation loop did — the runtime's flight
-/// recorder, and the raw material of the `adaptive_runtime` benchmark's
-/// warm-vs-cold counters.
+/// recorder, which the `tests/adaptive_runtime.rs` and
+/// `crates/runtime/tests/adaptive_loop.rs` suites read their warm-vs-cold
+/// counters from.
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct EpochRecord {
@@ -396,17 +456,7 @@ impl AdaptiveController {
     ///   under the initial model.
     /// * Propagated estimation/LP failures.
     pub fn new(system: &SystemModel, config: AdaptiveConfig) -> Result<Self, DpmError> {
-        let expected = 1usize.checked_shl(config.memory).unwrap_or(0);
-        if config.memory == 0 || system.requester().num_states() != expected {
-            return Err(DpmError::BadConfiguration {
-                reason: format!(
-                    "adaptive controller with memory {} needs a {expected}-state SR, \
-                     the system has {}",
-                    config.memory,
-                    system.requester().num_states()
-                ),
-            });
-        }
+        config.check_system(system)?;
         if config.wake_command >= system.num_commands() {
             return Err(DpmError::BadConfiguration {
                 reason: format!(
@@ -417,25 +467,8 @@ impl AdaptiveController {
                 ),
             });
         }
-        let extractor = SrExtractor::try_new(config.memory)?.with_smoothing(config.smoothing);
-        let estimator = WindowedEstimator::new(extractor, config.effective_window())?;
-        let estimator = if config.blend_fits {
-            estimator.with_blending()
-        } else {
-            estimator
-        };
-
-        let mut optimizer = PolicyOptimizer::new(system)
-            .discount(config.discount)
-            .solver(config.solver);
-        if let Some(bound) = config.max_performance_penalty {
-            optimizer = optimizer.max_performance_penalty(bound);
-        }
-        if let Some(bound) = config.max_request_loss_rate {
-            optimizer = optimizer.max_request_loss_rate(bound);
-        }
-        let mut prepared = optimizer.prepare()?;
-        prepared.set_budget(config.solve_budget);
+        let estimator = config.estimator()?;
+        let mut prepared = config.prepare(system)?;
         let initial = prepared.solve()?;
         let initial_policy = initial.policy().clone();
 
@@ -541,10 +574,7 @@ impl AdaptiveController {
     /// the next epoch. Off-measure states get the serve-at-all-costs
     /// command instead, so excursions outside the model's support drain
     /// back into it. On-measure states keep the LP's exact randomization.
-    fn off_measure_guard(
-        &self,
-        solution: &dpm_core::PolicySolution,
-    ) -> Result<RandomizedPolicy, DpmError> {
+    fn off_measure_guard(&self, solution: &PolicySolution) -> Result<RandomizedPolicy, DpmError> {
         let occupation = solution.constrained().occupation();
         let frequencies = occupation.state_frequencies();
         let floor = occupation.total_visits() * 1e-9;
@@ -611,7 +641,7 @@ impl AdaptiveController {
     /// Adopts a solved epoch into the record and the active policy.
     fn adopt(
         &mut self,
-        solution: &dpm_core::PolicySolution,
+        solution: &PolicySolution,
         rung: LadderRung,
         record: &mut EpochRecord,
     ) -> Result<(), DpmError> {
@@ -622,24 +652,6 @@ impl AdaptiveController {
         self.policy = ActivePolicy::Table(self.off_measure_guard(solution)?);
         self.consecutive_holds = 0;
         Ok(())
-    }
-
-    /// A fresh prepared session for `system` under the configured
-    /// bounds and budget — rung 3 of the escalation ladder.
-    fn reprepare(&self, system: &SystemModel) -> Result<PreparedOptimization, DpmError> {
-        let config = &self.config;
-        let mut optimizer = PolicyOptimizer::new(system)
-            .discount(config.discount)
-            .solver(config.solver);
-        if let Some(bound) = config.max_performance_penalty {
-            optimizer = optimizer.max_performance_penalty(bound);
-        }
-        if let Some(bound) = config.max_request_loss_rate {
-            optimizer = optimizer.max_request_loss_rate(bound);
-        }
-        let mut prepared = optimizer.prepare()?;
-        prepared.set_budget(config.solve_budget);
-        Ok(prepared)
     }
 
     /// Recomposes the system around the fitted SR and swaps it into the
@@ -655,42 +667,24 @@ impl AdaptiveController {
     ) -> Result<(), DpmError> {
         let system = SystemModel::compose(self.provider.clone(), fitted, self.queue)?;
         record.reload = Some(self.prepared.update_model(system.chain())?);
-        let warm_rungs = [
-            LadderRung::Direct,
-            LadderRung::WarmRetry,
-            LadderRung::ForcedRefactor,
-        ];
-        for rung in warm_rungs {
-            if rung == LadderRung::ForcedRefactor {
-                self.prepared.force_refactor();
-            }
-            match self.prepared.solve() {
-                Ok(solution) => return self.adopt(&solution, rung, record),
-                Err(DpmError::Infeasible) => {
-                    record.rung = Some(rung);
-                    record.infeasible = true;
-                    record.report = Some(self.prepared.last_report().clone());
-                    self.policy = ActivePolicy::Fallback;
-                    self.consecutive_holds = 0;
-                    return Ok(());
-                }
-                Err(_) => record.report = Some(self.prepared.last_report().clone()),
-            }
-        }
-        // Rung 3: rebuild the whole prepared session from scratch. The
-        // old session (and its poisoned/exhausted basis) is replaced
-        // only if the rebuild itself succeeds.
-        let cold = self.reprepare(&system).and_then(|mut prepared| {
-            let solved = prepared.solve();
-            solved.map(|solution| (prepared, solution))
+        let (mut rung, mut solved) = climb_warm_rungs(&mut self.prepared, |report| {
+            record.report = Some(report.clone());
         });
-        match cold {
-            Ok((prepared, solution)) => {
+        if matches!(&solved, Err(e) if !matches!(e, DpmError::Infeasible)) {
+            // Rung 3: rebuild the whole prepared session from scratch.
+            // The old session (and its poisoned/exhausted basis) is
+            // replaced only if the rebuild itself succeeds.
+            rung = LadderRung::ColdRebuild;
+            solved = self.config.prepare(&system).and_then(|mut prepared| {
+                let solution = prepared.solve()?;
                 self.prepared = prepared;
-                self.adopt(&solution, LadderRung::ColdRebuild, record)
-            }
+                Ok(solution)
+            });
+        }
+        match solved {
+            Ok(solution) => self.adopt(&solution, rung, record),
             Err(DpmError::Infeasible) => {
-                record.rung = Some(LadderRung::ColdRebuild);
+                record.rung = Some(rung);
                 record.infeasible = true;
                 self.policy = ActivePolicy::Fallback;
                 self.consecutive_holds = 0;

@@ -31,6 +31,13 @@
 //! | 1   | META     | epoch, next device id, per-class LP fingerprints |
 //! | 2   | POLICIES | deduplicated randomized-policy table             |
 //! | 3   | DEVICES  | per device: id, class, cluster, policy index, fitted SR, full estimator state; v2 adds health, strikes, probation |
+//!
+//! The estimator state keeps two fields of a retired estimator mode: a
+//! window weight, written as `1.0` and ignored on read, and a
+//! blend-prior table, written absent. Only a fleet that blended
+//! consecutive fits could have written a present blend prior, and its
+//! devices cannot continue here, so reading one is a
+//! [`SnapshotError::Mismatch`].
 //! | 4   | CLUSTERS | per cluster: class, members, representative, last-solved model, policy index, power, cooldown; v2 adds hold/backoff counters |
 //!
 //! Policies are written once each and referenced by table index, so the
@@ -50,7 +57,7 @@ use dpm_markov::StochasticMatrix;
 use dpm_mdp::RandomizedPolicy;
 use dpm_trace::EstimatorState;
 
-use crate::fleet::{flatten, Cluster, Device, DeviceHealth, FitOutcome, FleetController};
+use crate::fleet::{flatten, Cluster, Device, DeviceHealth, FitOutcome};
 use crate::service::{DeviceId, FleetService};
 
 /// Magic bytes opening every snapshot.
@@ -534,7 +541,7 @@ fn write_snapshot_versioned(
         for &bit in &state.ring {
             put_bool(&mut devices, bit);
         }
-        put_f64(&mut devices, state.weight);
+        put_f64(&mut devices, 1.0);
         put_opt_f64s(&mut devices, state.last_fit.as_ref());
         match state.divergence {
             Some(d) => {
@@ -543,7 +550,7 @@ fn write_snapshot_versioned(
             }
             None => put_bool(&mut devices, false),
         }
-        put_opt_pairs(&mut devices, state.blend_prior.as_ref());
+        put_bool(&mut devices, false);
         put_opt_pairs(&mut devices, state.counts_at_fit.as_ref());
         if version >= 2 {
             devices.push(match device.health {
@@ -795,14 +802,19 @@ pub(crate) fn read_snapshot(
         for _ in 0..ring_len {
             ring.push(cur.bool("estimator ring bit")?);
         }
-        let weight = cur.f64("estimator weight")?;
+        cur.f64("estimator weight")?;
         let last_fit = cur.opt_f64s("estimator last fit")?;
         let divergence = if cur.bool("estimator divergence flag")? {
             Some(cur.f64("estimator divergence")?)
         } else {
             None
         };
-        let blend_prior = cur.opt_pairs("estimator blend prior")?;
+        if cur.opt_pairs("estimator blend prior")?.is_some() {
+            return Err(mismatch_err(format!(
+                "device {d} carries a blend prior: it was written by a fleet that \
+                 blended consecutive fits"
+            )));
+        }
         let counts_at_fit = cur.opt_pairs("estimator counts at fit")?;
         let (health, strikes, probation_left) = if version >= 2 {
             let health = match cur.u8("device health")? {
@@ -823,16 +835,14 @@ pub(crate) fn read_snapshot(
         } else {
             (DeviceHealth::Healthy, 0, 0)
         };
-        let mut estimator = FleetController::build_estimator(&ctl.config.base)?;
+        let mut estimator = ctl.config.base.estimator()?;
         estimator.import_state(EstimatorState {
             counts,
             state,
             observed,
             ring,
-            weight,
             last_fit,
             divergence,
-            blend_prior,
             counts_at_fit,
         })?;
         let flat = fit.as_ref().map(flatten);
@@ -1012,9 +1022,83 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
+    /// Runs `epochs` epochs feeding every device the same periodic
+    /// stream, so estimators fill, fit and cluster.
+    fn run(service: &mut FleetService, epochs: usize) {
+        let stream: Vec<u32> = (0..48).map(|i| u32::from(i % 3 == 0)).collect();
+        for _ in 0..epochs {
+            let arrivals: Vec<_> = service
+                .device_ids()
+                .iter()
+                .map(|&id| (id, stream.clone()))
+                .collect();
+            service.run_epoch(&arrivals).expect("epoch runs");
+        }
+    }
+
+    fn checkpoint_bytes(service: &FleetService) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        write_snapshot(service, &mut bytes).expect("writes");
+        bytes
+    }
+
+    /// Re-frames a version-2 snapshot with its DEVICES payload passed
+    /// through `edit`, recomputing every CRC.
+    fn edit_devices(snapshot: &[u8], edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut out = snapshot[..12].to_vec();
+        let mut cur = Cursor::new(&snapshot[12..]);
+        let mut edit = Some(edit);
+        loop {
+            let tag = cur.u32("tag").expect("tag");
+            let len = cur.u64("length").expect("length") as usize;
+            let mut payload = cur.take(len, "payload").expect("payload").to_vec();
+            cur.u32("checksum").expect("checksum");
+            if tag == TAG_DEVICES {
+                (edit.take().expect("one DEVICES section"))(&mut payload);
+            }
+            let mut frame = tag.to_le_bytes().to_vec();
+            frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+            frame.extend_from_slice(&payload);
+            out.extend_from_slice(&frame);
+            out.extend_from_slice(&crc32(&frame).to_le_bytes());
+            if tag == TAG_END {
+                return out;
+            }
+        }
+    }
+
+    /// The offset of the first device record's blend-prior flag in a
+    /// version-2 DEVICES payload, found by reading the fields before it.
+    fn blend_prior_offset(devices: &[u8]) -> usize {
+        let mut cur = Cursor::new(devices);
+        fn read<T>(field: Result<T, SnapshotError>) -> T {
+            field.expect("device record decodes")
+        }
+        read(cur.u64("device count"));
+        for what in ["id", "class", "cluster", "policy"] {
+            read(cur.u64(what));
+        }
+        if read(cur.bool("fit flag")) {
+            read(cur.sr("fit"));
+        }
+        read(cur.pairs("counts"));
+        read(cur.u64("state"));
+        read(cur.u64("observed"));
+        for _ in 0..read(cur.len("ring", 1)) {
+            read(cur.bool("ring bit"));
+        }
+        read(cur.f64("weight"));
+        read(cur.opt_f64s("last fit"));
+        if read(cur.bool("divergence flag")) {
+            read(cur.f64("divergence"));
+        }
+        cur.pos
+    }
+
     #[test]
     fn version_1_snapshots_remain_readable() {
-        let source = service();
+        let mut source = service();
+        run(&mut source, 3);
         let mut v1 = Vec::new();
         write_snapshot_versioned(&source, &mut v1, 1).expect("v1 writes");
         let mut target = service();
@@ -1028,6 +1112,40 @@ mod tests {
             );
             assert_eq!(target.controller.devices[d].strikes, 0);
         }
+        let mut again = Vec::new();
+        write_snapshot_versioned(&target, &mut again, 1).expect("v1 writes");
+        assert_eq!(again, v1, "a v1 snapshot round-trips byte for byte");
+
+        // A non-blending fleet's v2 snapshot round-trips byte for byte.
+        let v2 = checkpoint_bytes(&source);
+        let mut target = service();
+        read_snapshot(&mut target, &mut v2.as_slice()).expect("v2 restores");
+        assert_eq!(checkpoint_bytes(&target), v2);
+
+        // A device record carrying a blend prior was written by a fleet
+        // that blended its fits: refused, and the target is untouched.
+        let blended = edit_devices(&v2, |devices| {
+            let at = blend_prior_offset(devices);
+            assert_eq!(devices[at], 0, "the writer emits no blend prior");
+            devices[at] = 1;
+            let mut prior = Vec::new();
+            put_pairs(&mut prior, &[[1.0, 2.0], [3.0, 4.0]]);
+            devices.splice(at + 1..at + 1, prior);
+        });
+        run(&mut target, 1);
+        let before = checkpoint_bytes(&target);
+        let err = read_snapshot(&mut target, &mut blended.as_slice())
+            .expect_err("a blend prior must be refused");
+        assert!(matches!(err, SnapshotError::Mismatch { .. }), "{err}");
+        assert_eq!(
+            checkpoint_bytes(&target),
+            before,
+            "a refused snapshot changed the service"
+        );
+        // The same bytes without the prior still restore.
+        let unblended = edit_devices(&v2, |_| {});
+        assert_eq!(unblended, v2);
+        read_snapshot(&mut target, &mut unblended.as_slice()).expect("v2 restores");
     }
 
     #[test]

@@ -135,29 +135,6 @@ fn resolve_cooldown_holds_the_policy_between_events() {
 }
 
 #[test]
-fn blended_fits_move_less_per_epoch_than_hard_fits() {
-    // Confidence-weighted blending damps the epoch-to-epoch movement of
-    // the deployed model on the same drifting trace.
-    let system = drifting::blended_system(7).unwrap();
-    let trace = drifting::workload(60_000, 7);
-    let mut hard = AdaptiveController::new(&system, scenario_config()).unwrap();
-    run(&mut hard, &trace, 37);
-    let mut soft = AdaptiveController::new(&system, scenario_config().blend_fits()).unwrap();
-    run(&mut soft, &trace, 37);
-    let total =
-        |c: &AdaptiveController| c.epochs().iter().filter_map(|e| e.divergence).sum::<f64>();
-    assert_eq!(hard.epochs().len(), soft.epochs().len());
-    let (hard_move, soft_move) = (total(&hard), total(&soft));
-    assert!(
-        soft_move < hard_move,
-        "blended movement {soft_move} should undercut hard movement {hard_move}"
-    );
-    // Blending still adapts: the loop keeps re-solving warm throughout.
-    assert_eq!(soft.cold_reloads(), 0);
-    assert!(soft.warm_reloads() > 0);
-}
-
-#[test]
 fn infeasible_epochs_fall_back_and_recover() {
     // A bound below the heavy regime's queue floor (~0.79) but above the
     // light regime's (~0.015): heavy epochs go infeasible and drive the

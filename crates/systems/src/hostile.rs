@@ -19,8 +19,8 @@
 //!      [`STORM`] pattern, forcing cluster eviction and fresh solves —
 //!      exactly while the harness has armed deterministic solver
 //!      faults (seed [`FAULT_SEED`], budget-exhaustion rate
-//!      [`EXHAUST_RATE`]; the benches map these onto `dpm-lp`'s fault
-//!      plan). The storm model needs more pivots than the warm ladder
+//!      [`EXHAUST_RATE`]; `crates/runtime/tests/fault_injection.rs`
+//!      maps these onto `dpm-lp`'s fault plan). The storm model needs more pivots than the warm ladder
 //!      rungs absorb under an exhausted budget, so the cluster rides
 //!      the escalation ladder into held epochs with backoff.
 //! 3. **Recovery** ([`RECOVERY_EPOCHS`] epochs): corruption stops and
@@ -101,8 +101,9 @@ pub const STORM: (usize, usize) = (7, 8);
 pub const MILD: (usize, usize) = racks::SURGE;
 
 /// Seed for the deterministic solver-fault plan armed during the fault
-/// window. The scenario only *names* the seed; the benches build the
-/// actual `dpm-lp` fault plan from it so this crate stays solver-free.
+/// window. The scenario only *names* the seed; the fault-injection
+/// tests (`crates/runtime/tests/fault_injection.rs`) build the actual
+/// `dpm-lp` fault plan from it so this crate stays solver-free.
 pub const FAULT_SEED: u64 = 0x0DAC_1998;
 
 /// Budget-exhaustion rate of the windowed fault plan: every armed
@@ -256,7 +257,8 @@ impl HostileSchedule {
 }
 
 /// The scenario system: the same one class as the [`racks`] scenario,
-/// so campaign results are comparable with the churn benchmarks.
+/// so campaign results are comparable with the rack-shift and churn runs
+/// of `crates/runtime/tests/fleet_service.rs`.
 ///
 /// # Errors
 ///

@@ -9,20 +9,16 @@
 //! whole history, and it measures the **drift** between consecutive fits
 //! so a controller can decide when a re-optimization is worth the solve.
 //!
-//! Two window shapes, both O(1) per observed slice:
-//!
-//! * **sliding** ([`WindowKind::Sliding`]): the last `n` slices count
-//!   fully, older slices not at all. The window is a bit-packed ring of
-//!   `n/8` bytes next to an exact integer tally per `(k+1)`-bit pattern
-//!   (`(history << 1) | bit`). A batch of slices is fed in one pass: a
-//!   rolling pattern register walks the new slices and counts their
-//!   transitions, and a second rolling register walks the packed words
-//!   of the slices that leave the window and un-counts theirs — for any
-//!   batch length, longer than the window included;
-//! * **exponential decay** ([`WindowKind::Exponential`]): every past
-//!   transition keeps a weight `decay^age` — implemented with a growing
-//!   per-observation weight and periodic renormalization, so no decay
-//!   sweep over the count table is ever needed.
+//! The window is **sliding** ([`WindowKind::Sliding`]): the last `n`
+//! slices count fully, older slices not at all — the paper's
+//! trace-counting fit, taken over the most recent slices. It is a
+//! bit-packed ring of `n/8` bytes next to an exact integer tally per
+//! `(k+1)`-bit pattern (`(history << 1) | bit`), O(1) per observed
+//! slice. A batch of slices is fed in one pass: a rolling pattern
+//! register walks the new slices and counts their transitions, and a
+//! second rolling register walks the packed words of the slices that
+//! leave the window and un-counts theirs — for any batch length, longer
+//! than the window included.
 
 use dpm_core::{DpmError, ServiceRequester};
 
@@ -86,9 +82,6 @@ pub enum WindowKind {
     /// Count transitions over the most recent `n` slices only (`n ≥ k+1`
     /// is enforced at construction so at least one transition fits).
     Sliding(usize),
-    /// Weight a transition observed `t` slices ago by `decay^t`, with
-    /// `decay ∈ (0, 1)`. The effective window length is `1/(1 − decay)`.
-    Exponential(f64),
 }
 
 /// A streaming k-memory workload estimator with drift detection: feed it
@@ -126,8 +119,8 @@ pub enum WindowKind {
 #[derive(Debug, Clone)]
 pub struct WindowedEstimator {
     extractor: SrExtractor,
-    /// The window discipline with its count storage.
-    window: Window,
+    /// The last `n` slices and their transition tallies.
+    window: SlidingWindow,
     /// Current k-bit history (the state transitions are counted *from*).
     state: usize,
     /// Bits observed so far (seeding the history consumes the first k);
@@ -138,14 +131,7 @@ pub struct WindowedEstimator {
     /// Max-abs transition-probability change between the two most recent
     /// fits.
     divergence: Option<f64>,
-    /// Confidence-weighted blending of consecutive fits (see
-    /// [`Self::with_blending`]).
-    blending: bool,
-    /// The previous blended count table, rescaled so its total mass never
-    /// exceeds one window's worth — the pseudo-count prior the next
-    /// blended fit pools with.
-    blend_prior: Option<Vec<[f64; 2]>>,
-    /// The (normalized) window counts at the most recent fit — what
+    /// The window counts at the most recent fit — what
     /// [`Self::count_drift`] measures movement against.
     counts_at_fit: Option<Vec<[f64; 2]>>,
 }
@@ -158,39 +144,27 @@ pub struct WindowedEstimator {
 ///
 /// Produced by [`WindowedEstimator::export_state`], consumed by
 /// [`WindowedEstimator::import_state`]. The configuration itself
-/// (extractor memory/smoothing, window kind, blending) is *not* part of
-/// the state: the importing estimator must be constructed with the same
+/// (extractor memory/smoothing, window length) is *not* part of the
+/// state: the importing estimator must be constructed with the same
 /// configuration, and `import_state` validates the shapes against it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EstimatorState {
     /// Windowed transition counts, `counts[s] = [s→shift-in-0, s→shift-in-1]`
-    /// (whole-number tallies for sliding windows).
+    /// (whole-number tallies).
     pub counts: Vec<[f64; 2]>,
     /// Current k-bit history state.
     pub state: usize,
     /// Slices observed since construction/reset.
     pub observed: u64,
-    /// Sliding-window ring contents: the last `min(observed, n)` slices,
-    /// oldest first (empty for exponential windows).
+    /// Window contents: the last `min(observed, n)` slices, oldest
+    /// first.
     pub ring: Vec<bool>,
-    /// Exponential-mode weight of the next observation (1 for sliding
-    /// windows, which ignore it on import).
-    pub weight: f64,
     /// Flattened transition matrix of the most recent fit, if any.
     pub last_fit: Option<Vec<f64>>,
     /// Drift gauge between the two most recent fits, if any.
     pub divergence: Option<f64>,
-    /// Carried pseudo-count prior of blending mode, if any.
-    pub blend_prior: Option<Vec<[f64; 2]>>,
-    /// Normalized window counts at the most recent fit, if any.
+    /// Window counts at the most recent fit, if any.
     pub counts_at_fit: Option<Vec<[f64; 2]>>,
-}
-
-/// A window discipline together with the counts it keeps.
-#[derive(Debug, Clone)]
-enum Window {
-    Sliding(SlidingWindow),
-    Exponential(DecayingCounts),
 }
 
 /// The last `len` slices of the stream and the exact transition tallies
@@ -216,18 +190,6 @@ struct BitRing {
     words: Vec<u64>,
     /// The ring bit the next slice is written to.
     head: usize,
-}
-
-/// Exponentially decaying transition weights.
-#[derive(Debug, Clone)]
-struct DecayingCounts {
-    decay: f64,
-    /// `counts[s] = [weight of s→0-shift, s→1-shift]`.
-    counts: Vec<[f64; 2]>,
-    /// Weight of the *next* observation; past observations keep their
-    /// recorded weight, so a count recorded `t` steps ago is worth
-    /// `decay^t` relative to the newest.
-    weight: f64,
 }
 
 impl SlidingWindow {
@@ -402,125 +364,34 @@ fn for_each_bit(
     }
 }
 
-impl DecayingCounts {
-    /// Counts the transitions of `batch` (no seeding slices) from the
-    /// history `state`, advancing it.
-    fn feed(&mut self, state: &mut usize, mask: usize, batch: &[u32]) {
-        for &a in batch {
-            let bit = usize::from(a > 0);
-            // Newest observations weigh more; dividing at fit time by
-            // the current weight recovers `decay^age` semantics without
-            // sweeping the table every slice.
-            self.weight /= self.decay;
-            if let Some(pair) = self.counts.get_mut(*state) {
-                pair[bit] += self.weight;
-            }
-            if self.weight > 1e100 {
-                for pair in &mut self.counts {
-                    pair[0] /= self.weight;
-                    pair[1] /= self.weight;
-                }
-                self.weight = 1.0;
-            }
-            *state = ((*state << 1) | bit) & mask;
-        }
-    }
-}
-
-impl Window {
-    /// The window's counts normalized so the newest observation weighs
-    /// one (sliding windows: the exact tallies).
-    fn counts(&self) -> Vec<[f64; 2]> {
-        match self {
-            Window::Sliding(w) => w.counts(),
-            Window::Exponential(e) => e
-                .counts
-                .iter()
-                .map(|&[zero, one]| [zero / e.weight, one / e.weight])
-                .collect(),
-        }
-    }
-}
-
 impl WindowedEstimator {
     /// Wraps `extractor` in a streaming window.
     ///
     /// # Errors
     ///
-    /// [`DpmError::BadConfiguration`] for a sliding window shorter than
-    /// `k + 1` slices (no transition would ever be counted) or an
-    /// exponential decay outside `(0, 1)`.
+    /// [`DpmError::BadConfiguration`] for a window shorter than `k + 1`
+    /// slices (no transition would ever be counted).
     pub fn new(extractor: SrExtractor, kind: WindowKind) -> Result<Self, DpmError> {
-        match kind {
-            WindowKind::Sliding(n) => {
-                let need = extractor.memory() as usize + 1;
-                if n < need {
-                    return Err(DpmError::BadConfiguration {
-                        reason: format!(
-                            "sliding window of {n} slices cannot hold a transition of a \
-                             {}-memory model (need at least {need})",
-                            extractor.memory()
-                        ),
-                    });
-                }
-            }
-            WindowKind::Exponential(decay) => {
-                if !(decay > 0.0 && decay < 1.0 && decay.is_finite()) {
-                    return Err(DpmError::BadConfiguration {
-                        reason: format!("exponential decay {decay} not in (0, 1)"),
-                    });
-                }
-            }
+        let WindowKind::Sliding(n) = kind;
+        let need = extractor.memory() as usize + 1;
+        if n < need {
+            return Err(DpmError::BadConfiguration {
+                reason: format!(
+                    "sliding window of {n} slices cannot hold a transition of a \
+                     {}-memory model (need at least {need})",
+                    extractor.memory()
+                ),
+            });
         }
-        let states = extractor.num_states();
-        let window = match kind {
-            WindowKind::Sliding(n) => Window::Sliding(SlidingWindow::new(n, states)),
-            WindowKind::Exponential(decay) => Window::Exponential(DecayingCounts {
-                decay,
-                counts: vec![[0.0; 2]; states],
-                weight: 1.0,
-            }),
-        };
         Ok(WindowedEstimator {
+            window: SlidingWindow::new(n, extractor.num_states()),
             extractor,
-            window,
             state: 0,
             observed: 0,
             last_fit: None,
             divergence: None,
-            blending: false,
-            blend_prior: None,
             counts_at_fit: None,
         })
-    }
-
-    /// Enables **confidence-weighted blending** of consecutive fits
-    /// (builder style; off by default, which keeps the historical
-    /// hard-swap behavior).
-    ///
-    /// With blending on, each [`Self::fit`] pools the window's counts
-    /// with the previous blended fit carried as a pseudo-count prior:
-    /// per state, the new window and the prior contribute in proportion
-    /// to their **effective sample counts**, so a sparsely observed new
-    /// window nudges the deployed model instead of replacing it, while a
-    /// full window of fresh evidence dominates. The prior's total mass
-    /// is capped at one window's worth, so an old regime still washes
-    /// out geometrically (≈ halving per fit at steady state) rather
-    /// than lingering forever.
-    ///
-    /// The [`Self::divergence`] gauge then measures movement of the
-    /// *blended* (deployed) model — exactly what an event-driven
-    /// controller should threshold.
-    #[must_use = "builder methods return the configured estimator; dropping it discards the configuration"]
-    pub fn with_blending(mut self) -> Self {
-        self.blending = true;
-        self
-    }
-
-    /// `true` when consecutive fits are confidence-blended (see
-    /// [`Self::with_blending`]).
-    pub fn blending(&self) -> bool {
-        self.blending
     }
 
     /// The wrapped extractor (memory, smoothing).
@@ -530,10 +401,7 @@ impl WindowedEstimator {
 
     /// The window discipline.
     pub fn window(&self) -> WindowKind {
-        match &self.window {
-            Window::Sliding(w) => WindowKind::Sliding(w.len),
-            Window::Exponential(e) => WindowKind::Exponential(e.decay),
-        }
+        WindowKind::Sliding(self.window.len)
     }
 
     /// Slices observed since construction (or the last [`Self::reset`]).
@@ -558,12 +426,11 @@ impl WindowedEstimator {
     /// transition counts and advances the k-bit history exactly as
     /// feeding the slices one at a time would.
     ///
-    /// A sliding window takes the batch in one pass: a rolling
-    /// `(k+1)`-bit register counts the batch's transitions, a second one
-    /// walks the packed ring (and, for a batch longer than the window,
-    /// the batch itself) to un-count the transitions that leave, and the
-    /// batch's last `n` bits are packed into the `n/8`-byte ring. An
-    /// exponential window weighs each slice in turn.
+    /// The batch is taken in one pass: a rolling `(k+1)`-bit register
+    /// counts the batch's transitions, a second one walks the packed ring
+    /// (and, for a batch longer than the window, the batch itself) to
+    /// un-count the transitions that leave, and the batch's last `n` bits
+    /// are packed into the `n/8`-byte ring.
     pub fn observe_stream(&mut self, arrivals: &[u32]) {
         let memory = self.extractor.memory() as usize;
         let mask = self.extractor.num_states() - 1;
@@ -572,14 +439,11 @@ impl WindowedEstimator {
         let seeding = (memory as u64)
             .saturating_sub(start)
             .min(arrivals.len() as u64) as usize;
-        let (seed, counted) = arrivals.split_at(seeding);
-        for &a in seed {
+        for &a in arrivals.iter().take(seeding) {
             self.state = ((self.state << 1) | usize::from(a > 0)) & mask;
         }
-        match &mut self.window {
-            Window::Sliding(w) => w.feed(&mut self.state, memory, start, seeding, arrivals),
-            Window::Exponential(e) => e.feed(&mut self.state, mask, counted),
-        }
+        self.window
+            .feed(&mut self.state, memory, start, seeding, arrivals);
         self.observed = start + arrivals.len() as u64;
     }
 
@@ -613,34 +477,8 @@ impl WindowedEstimator {
                 ),
             });
         }
-        // Normalized so the newest observation counts 1 — the scale
-        // cancels in the row normalization but keeps the smoothing
-        // constant meaningful.
-        let current = self.window.counts();
-        // Confidence-weighted blend: pool the window with the carried
-        // prior — per state, each side weighs in by its effective sample
-        // count — then cap the carried mass at one window's worth so old
-        // regimes decay geometrically across fits.
-        self.counts_at_fit = Some(current.clone());
-        let table: Vec<[f64; 2]> = match (&self.blend_prior, self.blending) {
-            (Some(prior), true) => current
-                .iter()
-                .zip(prior)
-                .map(|(c, p)| [c[0] + p[0], c[1] + p[1]])
-                .collect(),
-            _ => current.clone(),
-        };
-        let fitted = self.extractor.extract_from_counts(&table)?;
-        if self.blending {
-            let n_new: f64 = current.iter().flatten().sum();
-            let n_blend: f64 = table.iter().flatten().sum();
-            let scale = if n_blend > n_new && n_blend > 0.0 {
-                n_new / n_blend
-            } else {
-                1.0
-            };
-            self.blend_prior = Some(table.iter().map(|p| [p[0] * scale, p[1] * scale]).collect());
-        }
+        let counts = self.counts_at_fit.insert(self.window.counts());
+        let fitted = self.extractor.extract_from_counts(counts)?;
         let n = self.extractor.num_states();
         let mut flat = Vec::with_capacity(n * n);
         let p = fitted.chain().transition_matrix();
@@ -679,13 +517,18 @@ impl WindowedEstimator {
     /// allocated. `None` until a fit exists.
     ///
     /// This is the cheap dirty gauge behind incremental re-fit schemes
-    /// (the fleet service's quiet gate): for an unblended estimator it
-    /// equals exactly the max-abs divergence a fresh fit would report
-    /// against the last one, because every row of the fitted `2^k × 2^k`
-    /// chain carries the same two smoothed probabilities the counts
-    /// determine. With blending enabled it upper-bounds the deployed
-    /// (blended) model's movement — the blend moves strictly less than
-    /// the raw window — so skipping below a threshold stays conservative.
+    /// (the fleet service's quiet gate). With strictly positive
+    /// smoothing it equals, within 1e-12, the max-abs divergence a fresh
+    /// fit would report against the last one: every row of the fitted
+    /// `2^k × 2^k` chain carries the two smoothed probabilities the
+    /// counts determine. With zero smoothing it is an upper bound: an
+    /// unvisited history fits to the inert self-loop of
+    /// [`SrExtractor::extract_from_counts`], and for the all-zeros and
+    /// all-ones histories that loop is one of the row's two data
+    /// entries, so a row flipping between data `[1 − x, x]` and the loop
+    /// moves the fit by `x` (all-zeros) or `1 − x` (all-ones) where this
+    /// gauge reads 1. Skipping below a threshold stays conservative
+    /// either way.
     pub fn count_drift(&self) -> Option<f64> {
         let at_fit = self.counts_at_fit.as_ref()?;
         let alpha = self.extractor.smoothing();
@@ -703,43 +546,28 @@ impl WindowedEstimator {
                 _ => 1.0,
             }
         };
-        // `counts_at_fit` is stored normalized; normalize the live table
-        // the same way (exponential windows carry a running weight).
-        let worst = match &self.window {
-            Window::Sliding(w) => w
-                .tally
-                .iter()
-                .zip(at_fit)
-                .map(|(&[zero, one], then)| row_drift([zero as f64, one as f64], then))
-                .fold(0.0, f64::max),
-            Window::Exponential(e) => e
-                .counts
-                .iter()
-                .zip(at_fit)
-                .map(|(&[zero, one], then)| row_drift([zero / e.weight, one / e.weight], then))
-                .fold(0.0, f64::max),
-        };
+        let worst = self
+            .window
+            .tally
+            .iter()
+            .zip(at_fit)
+            .map(|(&[zero, one], then)| row_drift([zero as f64, one as f64], then))
+            .fold(0.0, f64::max);
         Some(worst)
     }
 
     /// Exports the complete streaming state for checkpointing — see
-    /// [`EstimatorState`]. The configuration (extractor, window,
-    /// blending) is not included; pair the state with an identically
-    /// configured estimator on import.
+    /// [`EstimatorState`]. The configuration (extractor, window) is not
+    /// included; pair the state with an identically configured estimator
+    /// on import.
     pub fn export_state(&self) -> EstimatorState {
-        let (counts, ring, weight) = match &self.window {
-            Window::Sliding(w) => (w.counts(), w.bits(self.observed), 1.0),
-            Window::Exponential(e) => (e.counts.clone(), Vec::new(), e.weight),
-        };
         EstimatorState {
-            counts,
+            counts: self.window.counts(),
             state: self.state,
             observed: self.observed,
-            ring,
-            weight,
+            ring: self.window.bits(self.observed),
             last_fit: self.last_fit.clone(),
             divergence: self.divergence,
-            blend_prior: self.blend_prior.clone(),
             counts_at_fit: self.counts_at_fit.clone(),
         }
     }
@@ -752,10 +580,9 @@ impl WindowedEstimator {
     ///
     /// [`DpmError::BadConfiguration`] when the state's shapes do not
     /// match this estimator's configuration: wrong count-table or
-    /// fit-matrix size, a k-bit history out of range, a sliding-window
-    /// ring that is not the last `min(observed, n)` slices or counts
-    /// that are not whole numbers of at most `n`, any ring on an
-    /// exponential window, or a non-finite/non-positive weight.
+    /// fit-matrix size, a k-bit history out of range, a ring that is not
+    /// the last `min(observed, n)` slices, or counts that are not whole
+    /// numbers of at most `n`.
     pub fn import_state(&mut self, state: EstimatorState) -> Result<(), DpmError> {
         let n = self.extractor.num_states();
         let mismatch = |reason: String| DpmError::BadConfiguration { reason };
@@ -773,7 +600,6 @@ impl WindowedEstimator {
         }
         for (label, table) in [
             ("counts", Some(&state.counts)),
-            ("blend prior", state.blend_prior.as_ref()),
             ("counts at fit", state.counts_at_fit.as_ref()),
         ] {
             if let Some(table) = table {
@@ -798,50 +624,31 @@ impl WindowedEstimator {
                 }
             }
         }
-        match &self.window {
-            Window::Sliding(w) => {
-                let limit = w.len;
-                if state.ring.len() > limit {
-                    return Err(mismatch(format!(
-                        "estimator state ring of {} bits exceeds the {limit}-slice window",
-                        state.ring.len()
-                    )));
-                }
-                let held = state.observed.min(limit as u64);
-                if state.ring.len() as u64 != held {
-                    return Err(mismatch(format!(
-                        "estimator state ring of {} bits after {} slices should hold {held}",
-                        state.ring.len(),
-                        state.observed
-                    )));
-                }
-                // Sliding counts are tallies of whole transitions inside
-                // the window.
-                if let Some(&bad) = state
-                    .counts
-                    .iter()
-                    .flatten()
-                    .find(|&&c| c.fract() != 0.0 || c > limit as f64)
-                {
-                    return Err(mismatch(format!(
-                        "estimator state count {bad} is not a tally within the \
-                         {limit}-slice window"
-                    )));
-                }
-            }
-            Window::Exponential(_) => {
-                if !state.ring.is_empty() {
-                    return Err(mismatch(
-                        "estimator state carries a ring but the window is exponential".to_string(),
-                    ));
-                }
-                if !(state.weight.is_finite() && state.weight > 0.0) {
-                    return Err(mismatch(format!(
-                        "estimator state weight {} is not a positive finite value",
-                        state.weight
-                    )));
-                }
-            }
+        let limit = self.window.len;
+        if state.ring.len() > limit {
+            return Err(mismatch(format!(
+                "estimator state ring of {} bits exceeds the {limit}-slice window",
+                state.ring.len()
+            )));
+        }
+        let held = state.observed.min(limit as u64);
+        if state.ring.len() as u64 != held {
+            return Err(mismatch(format!(
+                "estimator state ring of {} bits after {} slices should hold {held}",
+                state.ring.len(),
+                state.observed
+            )));
+        }
+        // Counts are tallies of whole transitions inside the window.
+        if let Some(&bad) = state
+            .counts
+            .iter()
+            .flatten()
+            .find(|&&c| c.fract() != 0.0 || c > limit as f64)
+        {
+            return Err(mismatch(format!(
+                "estimator state count {bad} is not a tally within the {limit}-slice window"
+            )));
         }
         if let Some(fit) = &state.last_fit {
             if fit.len() != n * n {
@@ -856,24 +663,15 @@ impl WindowedEstimator {
                 )));
             }
         }
-        match &mut self.window {
-            Window::Sliding(w) => {
-                for (tally, &[zero, one]) in w.tally.iter_mut().zip(&state.counts) {
-                    *tally = [zero as u64, one as u64];
-                }
-                w.ring.clear();
-                w.ring.push(&state.ring, |&bit| bit);
-            }
-            Window::Exponential(e) => {
-                e.counts = state.counts;
-                e.weight = state.weight;
-            }
+        for (tally, &[zero, one]) in self.window.tally.iter_mut().zip(&state.counts) {
+            *tally = [zero as u64, one as u64];
         }
+        self.window.ring.clear();
+        self.window.ring.push(&state.ring, |&bit| bit);
         self.state = state.state;
         self.observed = state.observed;
         self.last_fit = state.last_fit;
         self.divergence = state.divergence;
-        self.blend_prior = state.blend_prior;
         self.counts_at_fit = state.counts_at_fit;
         Ok(())
     }
@@ -881,21 +679,12 @@ impl WindowedEstimator {
     /// Forgets everything: counts, history, fit memory. The estimator is
     /// back in its freshly constructed state.
     pub fn reset(&mut self) {
-        match &mut self.window {
-            Window::Sliding(w) => {
-                w.tally.fill([0; 2]);
-                w.ring.clear();
-            }
-            Window::Exponential(e) => {
-                e.counts.fill([0.0; 2]);
-                e.weight = 1.0;
-            }
-        }
+        self.window.tally.fill([0; 2]);
+        self.window.ring.clear();
         self.state = 0;
         self.observed = 0;
         self.last_fit = None;
         self.divergence = None;
-        self.blend_prior = None;
         self.counts_at_fit = None;
     }
 }
@@ -951,35 +740,6 @@ mod tests {
     }
 
     #[test]
-    fn exponential_window_tracks_the_recent_regime() {
-        let extractor = SrExtractor::new(1).with_smoothing(0.5);
-        let mut estimator =
-            WindowedEstimator::new(extractor, WindowKind::Exponential(0.98)).unwrap();
-        feed(&mut estimator, std::iter::repeat_n(1u32, 300));
-        let busy = estimator.fit().unwrap().request_rate().unwrap();
-        feed(&mut estimator, std::iter::repeat_n(0u32, 300));
-        let idle = estimator.fit().unwrap().request_rate().unwrap();
-        assert!(busy > 0.9 && idle < 0.1, "busy {busy} idle {idle}");
-        assert!(estimator.divergence().unwrap() > 0.3);
-    }
-
-    #[test]
-    fn exponential_renormalization_is_transparent() {
-        // Force many renormalizations with a fast decay and check the
-        // fitted probabilities stay sane.
-        let extractor = SrExtractor::new(1).with_smoothing(0.1);
-        let mut a = WindowedEstimator::new(extractor, WindowKind::Exponential(0.5)).unwrap();
-        // 0.5^-1 per step: weight doubles, renormalizes every ~333 steps.
-        let stream: Vec<u32> = (0..2000).map(|i| (i % 2) as u32).collect();
-        feed(&mut a, stream.iter().copied());
-        let p = a.fit().unwrap();
-        // Alternating stream: P(0→1) and P(1→0) both near 1.
-        let t = p.chain().transition_matrix();
-        assert!(t.prob(0, 1) > 0.8, "P(0->1) = {}", t.prob(0, 1));
-        assert!(t.prob(1, 0) > 0.8, "P(1->0) = {}", t.prob(1, 0));
-    }
-
-    #[test]
     fn stationary_stream_has_small_divergence() {
         let extractor = SrExtractor::new(1).with_smoothing(1.0);
         let mut estimator = WindowedEstimator::new(extractor, WindowKind::Sliding(500)).unwrap();
@@ -996,78 +756,6 @@ mod tests {
         }
         assert!(worst < 0.05, "stationary divergence {worst}");
         assert!(!estimator.has_drifted(0.05));
-    }
-
-    #[test]
-    fn blending_softens_the_regime_swap() {
-        // Hard-swap estimator vs blended twin on the same busy→idle flip:
-        // the blended fit must land strictly between the old busy model
-        // and the fresh idle fit, and converge to idle after more fits.
-        let extractor = SrExtractor::new(1).with_smoothing(0.5);
-        let mut hard = WindowedEstimator::new(extractor, WindowKind::Sliding(50)).unwrap();
-        let mut soft = WindowedEstimator::new(extractor, WindowKind::Sliding(50))
-            .unwrap()
-            .with_blending();
-        assert!(soft.blending() && !hard.blending());
-        // Mixed-density regimes so both histories stay visited: busy =
-        // 80% ones, idle = 20% ones.
-        let busy_stream = |i: usize| u32::from(i % 5 != 0);
-        let idle_stream = |i: usize| u32::from(i % 5 == 0);
-        for est in [&mut hard, &mut soft] {
-            feed(est, (0..100).map(busy_stream));
-        }
-        let busy_hard = hard.fit().unwrap().request_rate().unwrap();
-        let busy_soft = soft.fit().unwrap().request_rate().unwrap();
-        // First fit: nothing to blend with, both see the same window.
-        assert!((busy_hard - busy_soft).abs() < 1e-12);
-        for est in [&mut hard, &mut soft] {
-            feed(est, (0..100).map(idle_stream));
-        }
-        let idle_hard = hard.fit().unwrap().request_rate().unwrap();
-        let idle_soft = soft.fit().unwrap().request_rate().unwrap();
-        assert!(idle_hard < 0.3, "hard swap follows the window: {idle_hard}");
-        assert!(
-            idle_soft > idle_hard + 0.05 && idle_soft < busy_hard - 0.05,
-            "blend should sit between regimes: {idle_soft} (hard {idle_hard}, busy {busy_hard})"
-        );
-        // The blended divergence is the deployed model's movement —
-        // strictly smaller than the hard swap's jump.
-        assert!(soft.divergence().unwrap() < hard.divergence().unwrap());
-        // More idle windows: the prior washes out geometrically.
-        let mut rate = idle_soft;
-        for round in 1..=6 {
-            feed(&mut soft, (0..100).map(idle_stream));
-            rate = soft.fit().unwrap().request_rate().unwrap();
-            let _ = round;
-        }
-        assert!(
-            (rate - idle_hard).abs() < 0.05,
-            "blend converges to the new regime: {rate} vs {idle_hard}"
-        );
-    }
-
-    #[test]
-    fn blending_weighs_by_effective_sample_count() {
-        // A full busy window followed by a *short* idle refill after
-        // reset-like conditions: the sparse new evidence must move the
-        // blend less than a full window would.
-        let extractor = SrExtractor::new(1).with_smoothing(0.5);
-        let mut soft = WindowedEstimator::new(extractor, WindowKind::Sliding(200))
-            .unwrap()
-            .with_blending();
-        feed(&mut soft, std::iter::repeat_n(1u32, 200));
-        let busy = soft.fit().unwrap().request_rate().unwrap();
-        // Only 20 idle slices trickle in before the next fit: the window
-        // still holds 180 busy slices, and the prior holds a full busy
-        // window — the blend barely moves.
-        feed(&mut soft, std::iter::repeat_n(0u32, 20));
-        let barely = soft.fit().unwrap().request_rate().unwrap();
-        assert!(busy - barely < 0.15, "busy {busy} vs {barely}");
-        // Reset wipes the prior along with the counts.
-        soft.reset();
-        feed(&mut soft, std::iter::repeat_n(0u32, 200));
-        let idle = soft.fit().unwrap().request_rate().unwrap();
-        assert!(idle < 0.1, "post-reset fit is unblended: {idle}");
     }
 
     #[test]
@@ -1114,8 +802,8 @@ mod tests {
         // A regime flip moves the counts a lot.
         feed(&mut estimator, std::iter::repeat_n(1u32, 64));
         assert!(estimator.count_drift().unwrap() > 0.3);
-        // For an unblended estimator the count gauge must equal the
-        // divergence a real fit reports.
+        // With positive smoothing the count gauge equals the divergence
+        // a real fit reports.
         let drift = estimator.count_drift().unwrap();
         estimator.fit().unwrap();
         let divergence = estimator.divergence().unwrap();
@@ -1123,16 +811,68 @@ mod tests {
             (drift - divergence).abs() < 1e-12,
             "count drift {drift} vs fit divergence {divergence}"
         );
+
+        // The same agreement across memories, window lengths that are
+        // not multiples of 64, smoothings and random batch splits.
+        use rand::{RngCore, SeedableRng};
+        let mut compared = 0;
+        for memory in 1..=3u32 {
+            for window in [5usize, 50, 100, 177] {
+                for alpha in [0.5, 0.01] {
+                    let seed = u64::from(memory) * 1_000 + window as u64;
+                    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+                    let extractor = SrExtractor::new(memory).with_smoothing(alpha);
+                    let mut estimator =
+                        WindowedEstimator::new(extractor, WindowKind::Sliding(window)).unwrap();
+                    let stream = random_stream(&mut rng, 6 * window + 200);
+                    let mut rest = stream.as_slice();
+                    while !rest.is_empty() {
+                        let take = random_batch(&mut rng, window).min(rest.len());
+                        let (batch, tail) = rest.split_at(take);
+                        rest = tail;
+                        estimator.observe_stream(batch);
+                        if !estimator.is_ready() || rng.next_u64() % 3 != 0 {
+                            continue;
+                        }
+                        let drift = estimator.count_drift();
+                        estimator.fit().unwrap();
+                        if let (Some(drift), Some(divergence)) = (drift, estimator.divergence()) {
+                            assert!(
+                                (drift - divergence).abs() < 1e-12,
+                                "k={memory} n={window} alpha={alpha}: count drift {drift} \
+                                 vs fit divergence {divergence}"
+                            );
+                            compared += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(compared > 100, "only {compared} fits compared");
+
+        // Zero smoothing: the unvisited all-zeros history fits to its
+        // self-loop, which is also its 0-successor. When the history
+        // shows up with P(0→1) = 1/2 the fit moves by 1/2, while the
+        // gauge reads the full flip — an upper bound, not the divergence.
+        let extractor = SrExtractor::new(1).with_smoothing(0.0);
+        let mut estimator = WindowedEstimator::new(extractor, WindowKind::Sliding(16)).unwrap();
+        feed(&mut estimator, std::iter::repeat_n(1u32, 16));
+        estimator.fit().unwrap();
+        feed(&mut estimator, [0, 0, 1]);
+        let drift = estimator.count_drift().unwrap();
+        estimator.fit().unwrap();
+        let divergence = estimator.divergence().unwrap();
+        assert_eq!(drift, 1.0);
+        assert!(
+            drift >= divergence && (divergence - 0.5).abs() < 1e-12,
+            "zero-smoothing count drift {drift} vs fit divergence {divergence}"
+        );
     }
 
     #[test]
     fn exported_state_round_trips_bit_identically() {
         let extractor = SrExtractor::new(2).with_smoothing(0.5);
-        let build = || {
-            WindowedEstimator::new(extractor, WindowKind::Sliding(40))
-                .unwrap()
-                .with_blending()
-        };
+        let build = || WindowedEstimator::new(extractor, WindowKind::Sliding(40)).unwrap();
         let mut original = build();
         feed(&mut original, (0..100).map(|i| u32::from(i % 3 == 0)));
         original.fit().unwrap();
@@ -1176,20 +916,9 @@ mod tests {
         let mut bad = good.clone();
         bad.ring = vec![true; 9];
         assert!(estimator.import_state(bad).is_err(), "ring too long");
-        let mut bad = good.clone();
+        let mut bad = good;
         bad.last_fit = Some(vec![0.5; 3]);
         assert!(estimator.import_state(bad).is_err(), "fit wrong size");
-        let mut exponential =
-            WindowedEstimator::new(SrExtractor::new(1), WindowKind::Exponential(0.9)).unwrap();
-        let mut bad = good.clone();
-        bad.ring = vec![true];
-        assert!(
-            exponential.import_state(bad).is_err(),
-            "ring on an exponential window"
-        );
-        let mut bad = good;
-        bad.weight = f64::NAN;
-        assert!(exponential.import_state(bad).is_err(), "bad weight");
     }
 
     #[test]
@@ -1241,11 +970,7 @@ mod tests {
     #[test]
     fn bad_configurations_are_rejected() {
         assert!(WindowedEstimator::new(SrExtractor::new(3), WindowKind::Sliding(3)).is_err());
-        assert!(WindowedEstimator::new(SrExtractor::new(1), WindowKind::Exponential(1.0)).is_err());
-        assert!(WindowedEstimator::new(SrExtractor::new(1), WindowKind::Exponential(0.0)).is_err());
-        assert!(
-            WindowedEstimator::new(SrExtractor::new(1), WindowKind::Exponential(f64::NAN)).is_err()
-        );
+        assert!(WindowedEstimator::new(SrExtractor::new(3), WindowKind::Sliding(4)).is_ok());
     }
 
     #[test]
@@ -1381,10 +1106,8 @@ mod tests {
                 state: self.state,
                 observed: self.observed,
                 ring: self.ring.iter().copied().collect(),
-                weight: 1.0,
                 last_fit: subject.last_fit.clone(),
                 divergence: subject.divergence,
-                blend_prior: None,
                 counts_at_fit: self.at_fit.clone(),
             }
         }

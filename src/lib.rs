@@ -71,8 +71,8 @@
 //! Section VII concedes that real workloads drift. The [`runtime`] crate
 //! closes the loop without giving up the LP-optimal core: an
 //! [`AdaptiveController`](runtime::AdaptiveController) owns a streaming
-//! [`WindowedEstimator`](trace::WindowedEstimator) (sliding or
-//! exponential-decay k-memory fits with drift detection), a standing
+//! [`WindowedEstimator`](trace::WindowedEstimator) (sliding-window
+//! k-memory fits with drift detection), a standing
 //! occupation-LP session, and the currently active randomized policy.
 //! Every epoch it re-fits the workload model, **hot-swaps** the
 //! recomposed chain into the session
