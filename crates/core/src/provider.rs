@@ -256,31 +256,56 @@ impl ServiceProviderBuilder {
             });
         }
 
-        // One transition matrix per command: start from identity, move the
-        // declared probability mass off the diagonal.
+        // One sparse kernel per command: every row starts as the
+        // self-loop, and each declared edge moves its probability off the
+        // diagonal, in declaration order.
         let mut kernels = Vec::with_capacity(m);
+        let mut edges: Vec<(usize, usize, f64)> = Vec::new();
+        let mut row: Vec<(usize, f64)> = Vec::new();
         for a in 0..m {
-            let mut mat = Matrix::identity(n);
-            for &(from, to, command, p) in &self.transitions {
-                if command != a || from == to {
-                    continue;
-                }
-                mat[(from, to)] += p;
-                mat[(from, from)] -= p;
-            }
+            edges.clear();
+            edges.extend(
+                self.transitions
+                    .iter()
+                    .filter(|&&(from, to, command, _)| command == a && from != to)
+                    .map(|&(from, to, _, p)| (from, to, p)),
+            );
+            // Stable: a state's edges keep their declaration order.
+            edges.sort_by_key(|&(from, _, _)| from);
+            let mut pending = edges.iter().peekable();
+            let mut row_ptr = Vec::with_capacity(n + 1);
+            let mut cols = Vec::with_capacity(n + edges.len());
+            let mut probs = Vec::with_capacity(n + edges.len());
+            row_ptr.push(0);
             for s in 0..n {
-                if mat[(s, s)] < -1e-12 {
+                row.clear();
+                let mut stay = 1.0;
+                while let Some(&(_, to, p)) = pending.next_if(|&&(from, _, _)| from == s) {
+                    match row.iter_mut().find(|(j, _)| *j == to) {
+                        Some((_, v)) => *v += p,
+                        None => row.push((to, p)),
+                    }
+                    stay -= p;
+                }
+                if stay < -1e-12 {
                     return Err(DpmError::TransitionMassExceeded {
                         state: s,
                         command: a,
-                        total: 1.0 - mat[(s, s)],
+                        total: 1.0 - stay,
                     });
                 }
-                if mat[(s, s)] < 0.0 {
-                    mat[(s, s)] = 0.0; // absorb roundoff
+                // Absorb roundoff; a zero self-loop is not stored.
+                if stay > 0.0 {
+                    row.push((s, stay));
                 }
+                row.sort_by_key(|&(j, _)| j);
+                for &(j, v) in &row {
+                    cols.push(j);
+                    probs.push(v);
+                }
+                row_ptr.push(cols.len());
             }
-            kernels.push(StochasticMatrix::from_matrix(mat)?);
+            kernels.push(StochasticMatrix::from_csr(n, row_ptr, cols, probs)?);
         }
         let chain = ControlledMarkovChain::new(kernels)?;
 

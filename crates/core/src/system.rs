@@ -35,6 +35,14 @@ pub struct SystemState {
 /// the structure of the paper's worked transition
 /// `(on,0,0) → (on,1,0) = p_{01} · σ_{on}(s_on) · p_{on,on}(s_on)`.
 ///
+/// The composer emits each command's kernel straight into sparse (CSR)
+/// form: a row's successors are the products of the SP row's nonzeros,
+/// the SR row's nonzeros and the queue's at most two next states, and
+/// they come out in increasing flat index. Composition therefore takes
+/// time and memory in proportion to the kernels' nonzeros — about two
+/// per (state, command) on the appendix-B systems — not to
+/// `states² × commands`.
+///
 /// `SystemModel` also carries the cost structure needed by the optimizer:
 /// the power matrix `p(s, a)`, and per-slice expected request losses.
 #[derive(Debug, Clone)]
@@ -73,43 +81,46 @@ impl SystemModel {
         let mut expected_loss = Matrix::zeros(n, m);
 
         for a in 0..m {
-            let mut mat = Matrix::zeros(n, n);
-            for s in 0..n {
-                let coords = indexer.unflatten(s);
-                let (sp_s, sr_s, q_s) = (coords[0], coords[1], coords[2]);
+            let sp_kernel = sp.chain().kernel(a);
+            // Each row's successors: SP successors × SR successors × the
+            // queue's (at most two) next states.
+            let nnz = n_q * sp_kernel.nnz() * sr_kernel.nnz() * 2;
+            let mut row_ptr = Vec::with_capacity(n + 1);
+            let mut cols = Vec::with_capacity(nnz);
+            let mut probs = Vec::with_capacity(nnz);
+            row_ptr.push(0);
+            // Rows in flat-index order: SP state slowest, queue fastest.
+            for (sp_s, sp_row) in sp_kernel.rows().enumerate() {
                 let sigma = sp.service_rate(sp_s, a);
-                let mut loss_acc = 0.0;
-                for sp_n in 0..n_sp {
-                    let p_sp = sp.chain().prob(sp_s, sp_n, a);
-                    if p_sp == 0.0 {
-                        continue;
-                    }
-                    for sr_n in 0..n_sr {
-                        let p_sr = sr_kernel.prob(sr_s, sr_n);
-                        if p_sr == 0.0 {
-                            continue;
-                        }
-                        let arrivals = sr.requests(sr_n);
-                        let (q_row, loss) = queue.kernel_row(q_s, sigma, arrivals)?;
-                        // Loss depends only on (q_s, sigma, arrivals), so
-                        // accumulate it once per SR destination (weighting
-                        // by the SP branch keeps the total correct since
-                        // Σ p_sp = 1).
-                        loss_acc += p_sp * p_sr * loss;
-                        for (q_n, &p_q) in q_row.iter().enumerate() {
-                            if p_q == 0.0 {
-                                continue;
+                for sr_row in sr_kernel.rows() {
+                    for q_s in 0..n_q {
+                        // Flat index of (sp_s, sr_s, q_s).
+                        let s = row_ptr.len() - 1;
+                        let mut loss_acc = 0.0;
+                        // Successors in increasing flat index, so each
+                        // row is emitted already sorted.
+                        for (sp_n, p_sp) in sp_row.entries() {
+                            for (sr_n, p_sr) in sr_row.entries() {
+                                let arrivals = sr.requests(sr_n);
+                                let q_step = queue.step(q_s, sigma, arrivals)?;
+                                // Loss depends only on (q_s, sigma,
+                                // arrivals), so accumulate it once per SR
+                                // destination (weighting by the SP branch
+                                // keeps the total correct since Σ p_sp = 1).
+                                loss_acc += p_sp * p_sr * q_step.expected_loss;
+                                let base = (sp_n * n_sr + sr_n) * n_q;
+                                for &(q_n, p_q) in q_step.entries() {
+                                    cols.push(base + q_n);
+                                    probs.push(p_sp * p_sr * p_q);
+                                }
                             }
-                            let t = indexer
-                                .flatten(&[sp_n, sr_n, q_n])
-                                .expect("indices in range by construction");
-                            mat[(s, t)] += p_sp * p_sr * p_q;
                         }
+                        expected_loss[(s, a)] = loss_acc;
+                        row_ptr.push(cols.len());
                     }
                 }
-                expected_loss[(s, a)] = loss_acc;
             }
-            kernels.push(StochasticMatrix::from_matrix(mat)?);
+            kernels.push(StochasticMatrix::from_csr(n, row_ptr, cols, probs)?);
         }
 
         Ok(SystemModel {
@@ -173,12 +184,8 @@ impl SystemModel {
     ///
     /// Panics when `index` is out of range.
     pub fn state_of(&self, index: usize) -> SystemState {
-        let c = self.indexer.unflatten(index);
-        SystemState {
-            sp: c[0],
-            sr: c[1],
-            queue: c[2],
-        }
+        let [sp, sr, queue] = self.indexer.coords(index);
+        SystemState { sp, sr, queue }
     }
 
     /// Human-readable label such as `(on, busy, q=1)`.
@@ -265,7 +272,7 @@ mod tests {
 
     #[test]
     fn kernels_are_row_stochastic() {
-        // from_matrix would have failed otherwise, but assert explicitly.
+        // from_csr would have failed otherwise, but assert explicitly.
         let system = example_system();
         for a in 0..system.num_commands() {
             let k = system.chain().kernel(a);

@@ -1,3 +1,4 @@
+use crate::stochastic::MixedRows;
 use crate::{MarkovChain, MarkovError, StochasticMatrix};
 
 /// A stationary *controlled* Markov chain: one transition kernel per
@@ -9,6 +10,10 @@ use crate::{MarkovChain, MarkovError, StochasticMatrix};
 /// [`Self::under_decision`] mixes the kernels accordingly (equation (5)),
 /// and [`Self::under_state_decisions`] builds the closed-loop chain of a
 /// full Markov stationary policy.
+///
+/// Each command's kernel is its own sparse [`StochasticMatrix`], so a
+/// chain of `n` states and `m` commands stores its `m` kernels' nonzeros
+/// and `m · (n + 1)` row offsets, never `m · n²` probabilities.
 ///
 /// # Example
 ///
@@ -126,7 +131,13 @@ impl ControlledMarkovChain {
                 reason: format!("{} decision rows for {n} states", decisions.len()),
             });
         }
-        let mut rows: Vec<Vec<f64>> = Vec::with_capacity(n);
+        let nnz = self
+            .kernels
+            .iter()
+            .map(StochasticMatrix::nnz)
+            .max()
+            .unwrap_or(0);
+        let mut rows = MixedRows::with_capacity(n, nnz);
         for (i, d) in decisions.iter().enumerate() {
             if d.len() != na {
                 return Err(MarkovError::InvalidDecision {
@@ -139,19 +150,10 @@ impl ControlledMarkovChain {
                     reason: format!("decision row {i} is not a distribution (sum {sum})"),
                 });
             }
-            let mut row = vec![0.0; n];
-            for (a, &w) in d.iter().enumerate() {
-                if w == 0.0 {
-                    continue;
-                }
-                for (j, rv) in row.iter_mut().enumerate() {
-                    *rv += w * self.kernels[a].prob(i, j);
-                }
-            }
-            rows.push(row);
+            let used = d.iter().zip(&self.kernels).filter(|&(&w, _)| w != 0.0);
+            rows.push_row(used.map(|(&w, kernel)| (w, kernel.row(i))));
         }
-        let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
-        Ok(MarkovChain::new(StochasticMatrix::from_rows(&refs)?))
+        Ok(MarkovChain::new(rows.finish()?))
     }
 
     /// Expected slices to first reach `to` from `from` when command `a` is

@@ -23,6 +23,11 @@ pub enum MarkovError {
         /// The offending value.
         value: f64,
     },
+    /// A sparse row repeats a column or lists its columns out of order.
+    UnsortedRow {
+        /// Index of the offending row.
+        row: usize,
+    },
     /// A transition matrix is not square.
     NotSquare {
         /// The shape that was supplied.
@@ -65,6 +70,12 @@ impl fmt::Display for MarkovError {
             }
             MarkovError::InvalidProbability { row, col, value } => {
                 write!(f, "entry ({row}, {col}) = {value} is not a probability")
+            }
+            MarkovError::UnsortedRow { row } => {
+                write!(
+                    f,
+                    "row {row} repeats a column or lists its columns out of order"
+                )
             }
             MarkovError::NotSquare { shape } => {
                 write!(

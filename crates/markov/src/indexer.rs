@@ -106,20 +106,42 @@ impl StateIndexer {
     ///
     /// Panics when `index >= num_states()`.
     pub fn unflatten(&self, index: usize) -> Vec<usize> {
+        let mut coords = vec![0; self.dims.len()];
+        self.decode(index, &mut coords);
+        coords
+    }
+
+    /// [`Self::unflatten`] into a fixed-size array, without allocating:
+    /// `let [sp, sr, q] = indexer.coords(index);`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `N` differs from [`Self::num_factors`] or
+    /// `index >= num_states()`.
+    pub fn coords<const N: usize>(&self, index: usize) -> [usize; N] {
+        assert_eq!(
+            N,
+            self.dims.len(),
+            "{N} coordinates for {} factors",
+            self.dims.len()
+        );
+        let mut coords = [0; N];
+        self.decode(index, &mut coords);
+        coords
+    }
+
+    /// Writes the coordinates of `index` into `coords` (one per factor).
+    fn decode(&self, index: usize, coords: &mut [usize]) {
         assert!(
             index < self.total,
             "flat index {index} out of range ({} states)",
             self.total
         );
         let mut rem = index;
-        self.strides
-            .iter()
-            .map(|&s| {
-                let c = rem / s;
-                rem %= s;
-                c
-            })
-            .collect()
+        for (c, &s) in coords.iter_mut().zip(&self.strides) {
+            *c = rem / s;
+            rem %= s;
+        }
     }
 
     /// Iterates over all coordinate tuples in flat-index order.
@@ -168,6 +190,21 @@ mod tests {
         let idx = StateIndexer::new(&[5]).unwrap();
         assert_eq!(idx.flatten(&[3]).unwrap(), 3);
         assert_eq!(idx.unflatten(4), vec![4]);
+    }
+
+    #[test]
+    fn coords_match_unflatten() {
+        let idx = StateIndexer::new(&[3, 2, 4]).unwrap();
+        for flat in 0..idx.num_states() {
+            let [a, b, c] = idx.coords(flat);
+            assert_eq!(vec![a, b, c], idx.unflatten(flat));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "coordinates for 2 factors")]
+    fn coords_checks_the_factor_count() {
+        let _: [usize; 3] = StateIndexer::new(&[2, 2]).unwrap().coords(0);
     }
 
     #[test]

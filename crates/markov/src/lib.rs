@@ -5,7 +5,10 @@
 //!
 //! * [`StochasticMatrix`] — a validated row-stochastic matrix (every row a
 //!   probability distribution), the type of every transition kernel in the
-//!   paper;
+//!   paper. Kernels are stored sparsely (CSR: per row, the successors and
+//!   their nonzero probabilities), and every pass over them — composition,
+//!   LP emission, evaluation, simulation — walks only the nonzeros, handed
+//!   out one row at a time as a [`SparseRow`];
 //! * [`MarkovChain`] — a stationary discrete-time chain (the service
 //!   requester of Definition 3.2), with stationary-distribution and
 //!   n-step analysis;
@@ -16,7 +19,9 @@
 //! * [`geometric`] — helpers for the geometric switching-time distributions
 //!   of equations (1)–(2);
 //! * [`StateIndexer`] — mixed-radix indexing for product state spaces,
-//!   used by the system composer to flatten (SP, SR, SQ) triples.
+//!   used by the system composer to flatten (SP, SR, SQ) triples;
+//! * [`sample_index`] — the one cumulative-sum sampler every simulated
+//!   transition and randomized decision draws through.
 //!
 //! # Example
 //!
@@ -42,13 +47,15 @@ mod controlled;
 mod error;
 pub mod geometric;
 mod indexer;
+mod sample;
 mod stochastic;
 
 pub use chain::MarkovChain;
 pub use controlled::ControlledMarkovChain;
 pub use error::MarkovError;
 pub use indexer::StateIndexer;
-pub use stochastic::StochasticMatrix;
+pub use sample::sample_index;
+pub use stochastic::{SparseRow, StochasticMatrix};
 
 /// Tolerance used when validating that probability rows sum to one.
 pub const ROW_SUM_TOLERANCE: f64 = 1e-9;

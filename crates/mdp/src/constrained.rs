@@ -194,7 +194,8 @@ impl ConstrainedMdp {
     ) -> Result<ConstrainedSession, MdpError> {
         validate_distribution(initial, self.mdp.num_states())?;
         let bounds: Vec<f64> = self.constraints.iter().map(|c| c.bound).collect();
-        let (lp, seed) = seeded_program(&self.mdp, &self.constraints, initial, &bounds)?;
+        let occupation = OccupationLp::new(&self.mdp, initial)?;
+        let (lp, seed) = seeded_program(&occupation, &self.constraints, &bounds)?;
         let mut session = solver.start(&lp)?;
         session.seed_basis(&seed)?;
         Ok(ConstrainedSession {
@@ -231,17 +232,15 @@ impl ConstrainedMdp {
     }
 }
 
-/// Emits the occupation LP of `mdp` under `constraints` with `bounds`
+/// Emits `occupation`'s program under `constraints` with `bounds`
 /// (total discounted, one per constraint) together with the basis of its
 /// lookahead policy — the seed of the session's cold starts (see
 /// [`OccupationLp::policy_basis`]).
 fn seeded_program(
-    mdp: &DiscountedMdp,
+    occupation: &OccupationLp<'_>,
     constraints: &[CostConstraint],
-    initial: &[f64],
     bounds: &[f64],
 ) -> Result<(LinearProgram, Vec<Option<usize>>), MdpError> {
-    let occupation = OccupationLp::new(mdp, initial)?;
     let rows: Vec<(&Matrix, f64)> = constraints
         .iter()
         .zip(bounds)
@@ -403,15 +402,14 @@ impl ConstrainedSession {
     ///   previous model intact on any failure (the swap is staged and
     ///   only committed after the reload succeeds).
     pub fn update_model(&mut self, chain: &ControlledMarkovChain) -> Result<ReloadKind, MdpError> {
-        // Stage the swap on a copy so a failure anywhere leaves the
-        // session fully consistent (mdp, mirror LP and loaded program
-        // all still describe the old model).
-        let mut mdp = self.problem.mdp.clone();
-        mdp.replace_chain(chain.clone())?;
-        let (lp, seed) =
-            seeded_program(&mdp, &self.problem.constraints, &self.initial, &self.bounds)?;
+        // Stage the program from the borrowed chain so a failure anywhere
+        // leaves the session fully consistent (mdp, mirror LP and loaded
+        // program all still describe the old model); the chain is
+        // stored, once, only after the reload succeeded.
+        let occupation = OccupationLp::over_chain(&self.problem.mdp, chain, &self.initial)?;
+        let (lp, seed) = seeded_program(&occupation, &self.problem.constraints, &self.bounds)?;
         let kind = self.session.reload(&lp)?;
-        self.problem.mdp = mdp;
+        self.problem.mdp.replace_chain(chain.clone())?;
         self.lp = lp;
         // Basis signatures do not span model versions: the same basic
         // set now encodes different frequencies.

@@ -1,4 +1,4 @@
-use dpm_linalg::{LuDecomposition, Matrix};
+use dpm_linalg::{Matrix, SparseLu};
 use dpm_markov::ControlledMarkovChain;
 
 use crate::{DeterministicPolicy, MdpError, RandomizedPolicy};
@@ -66,12 +66,18 @@ impl DiscountedMdp {
     /// `(states, actions)` differ from the existing cost matrix's — the
     /// state space of a loaded problem is fixed.
     pub fn replace_chain(&mut self, chain: ControlledMarkovChain) -> Result<(), MdpError> {
+        self.check_chain_shape(&chain)?;
+        self.chain = chain;
+        Ok(())
+    }
+
+    /// The [`Self::replace_chain`] shape check alone.
+    pub(crate) fn check_chain_shape(&self, chain: &ControlledMarkovChain) -> Result<(), MdpError> {
         let expected = (self.chain.num_states(), self.chain.num_actions());
         let found = (chain.num_states(), chain.num_actions());
         if found != expected {
             return Err(MdpError::CostShapeMismatch { found, expected });
         }
-        self.chain = chain;
         Ok(())
     }
 
@@ -151,7 +157,7 @@ impl DiscountedMdp {
         })
     }
 
-    /// Howard's policy iteration: exact evaluation (LU solve) alternated
+    /// Howard's policy iteration: exact evaluation (sparse LU solve) alternated
     /// with greedy improvement. Terminates in finitely many steps because
     /// `Π_DMS` is finite and each step strictly improves.
     ///
@@ -205,13 +211,20 @@ impl DiscountedMdp {
     pub fn evaluate_randomized(&self, policy: &RandomizedPolicy) -> Result<Vec<f64>, MdpError> {
         let n = self.num_states();
         let closed_loop = self.chain.under_state_decisions(policy.decisions())?;
-        let p = closed_loop.transition_matrix();
-        let mut a = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..n {
-                a[(i, j)] = if i == j { 1.0 } else { 0.0 } - self.discount * p.prob(i, j);
-            }
-        }
+        // Row i of I − α P_π, straight from the closed-loop kernel's
+        // nonzeros; factored as the columns of (I − α P_π)ᵀ and solved
+        // transposed.
+        let rows: Vec<Vec<(usize, f64)>> = closed_loop
+            .transition_matrix()
+            .rows()
+            .enumerate()
+            .map(|(i, row)| {
+                let mut r = Vec::with_capacity(row.len() + 1);
+                r.push((i, 1.0));
+                r.extend(row.entries().map(|(j, p)| (j, -self.discount * p)));
+                r
+            })
+            .collect();
         let c_pi: Vec<f64> = (0..n)
             .map(|s| {
                 policy
@@ -222,8 +235,8 @@ impl DiscountedMdp {
                     .sum()
             })
             .collect();
-        let lu = LuDecomposition::new(&a)?;
-        Ok(lu.solve(&c_pi)?)
+        let lu = SparseLu::from_columns(n, &rows)?;
+        Ok(lu.solve_transposed(&c_pi)?)
     }
 
     /// Total expected discounted cost of a randomized policy from an
@@ -247,8 +260,7 @@ impl DiscountedMdp {
         let mut best = f64::INFINITY;
         let mut best_a = 0;
         for a in 0..self.num_actions() {
-            let kernel = self.chain.kernel(a);
-            let future = dpm_linalg::vector::dot(kernel.row(s), v);
+            let future = self.chain.kernel(a).row(s).dot(v);
             let q = self.cost[(s, a)] + self.discount * future;
             if q < best {
                 best = q;

@@ -1,5 +1,6 @@
 use dpm_linalg::Matrix;
 use dpm_lp::{ConstraintOp, LinearProgram, LpSolution, LpSolver};
+use dpm_markov::ControlledMarkovChain;
 
 use crate::mdp::validate_distribution;
 use crate::{DeterministicPolicy, DiscountedMdp, MdpError, RandomizedPolicy};
@@ -48,6 +49,10 @@ const LOOKAHEAD_TIE: f64 = 1e-12;
 #[derive(Debug)]
 pub struct OccupationLp<'a> {
     mdp: &'a DiscountedMdp,
+    /// The transition structure the balance rows are emitted from:
+    /// `mdp`'s own chain, or a same-shape replacement staged by
+    /// [`Self::over_chain`].
+    chain: &'a ControlledMarkovChain,
     initial: Vec<f64>,
 }
 
@@ -59,9 +64,28 @@ impl<'a> OccupationLp<'a> {
     /// [`MdpError::InvalidInitialDistribution`] when `initial` is not a
     /// distribution over the MDP's states.
     pub fn new(mdp: &'a DiscountedMdp, initial: &[f64]) -> Result<Self, MdpError> {
+        Self::over_chain(mdp, mdp.chain(), initial)
+    }
+
+    /// The LP of `mdp`'s costs and discount over another chain of the
+    /// same shape — how a model update stages its program without
+    /// copying the MDP.
+    ///
+    /// # Errors
+    ///
+    /// [`MdpError::CostShapeMismatch`] when `chain`'s dimensions differ
+    /// from `mdp`'s; [`MdpError::InvalidInitialDistribution`] as in
+    /// [`Self::new`].
+    pub(crate) fn over_chain(
+        mdp: &'a DiscountedMdp,
+        chain: &'a ControlledMarkovChain,
+        initial: &[f64],
+    ) -> Result<Self, MdpError> {
+        mdp.check_chain_shape(chain)?;
         validate_distribution(initial, mdp.num_states())?;
         Ok(OccupationLp {
             mdp,
+            chain,
             initial: initial.to_vec(),
         })
     }
@@ -164,12 +188,12 @@ impl<'a> OccupationLp<'a> {
                 *u += weight * v;
             }
         }
-        let state_min = |q: &[f64]| -> Vec<f64> {
-            q.chunks_exact(m)
-                .map(|row| row.iter().copied().fold(f64::INFINITY, f64::min))
-                .collect()
-        };
-        let (usage_min, cost_min) = (state_min(&usage), state_min(&c));
+        let row_min = |row: &[f64]| row.iter().copied().fold(f64::INFINITY, f64::min);
+        let state_min: Vec<(f64, f64)> = usage
+            .chunks_exact(m)
+            .zip(c.chunks_exact(m))
+            .map(|(u, c)| (row_min(u), row_min(c)))
+            .collect();
         let (mut qb, mut qc) = (usage, c);
 
         // Balance equations, one per state j, with the rhs scaled to the
@@ -183,25 +207,22 @@ impl<'a> OccupationLp<'a> {
         // well-conditioned in floating point.
         //
         // The rows are emitted *sparsely*, straight from the controlled
-        // chain's transition structure: one pass over the kernels buckets
-        // every nonzero transition probability by destination state, so
+        // chain's sparse kernels: one pass over their stored nonzeros
+        // buckets every transition probability by destination state, so
         // row `j` carries exactly `m` diagonal entries plus `j`'s actual
         // in-flows — never the dense `n·m` width. (Diagonal self-loops
         // duplicate an index; the LP builder sums duplicates by contract.)
         // The same pass adds the lookahead terms to qb and qc.
         let mut inflows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
-        for a in 0..m {
-            let kernel = self.mdp.chain().kernel(a);
+        for (a, kernel) in self.chain.kernels().iter().enumerate() {
             let lookahead = qb.iter_mut().zip(qc.iter_mut()).skip(a).step_by(m);
-            for (s, (qb, qc)) in lookahead.enumerate() {
+            for ((s, row), (qb, qc)) in kernel.rows().enumerate().zip(lookahead) {
                 let (mut next_b, mut next_c) = (0.0, 0.0);
-                let row = kernel.row(s).iter().zip(usage_min.iter().zip(&cost_min));
-                for (j, (&p, (&ub, &cb))) in row.enumerate() {
-                    if p != 0.0 {
-                        inflows[j].push((self.var_index(s, a), -alpha * p));
-                        next_b += p * ub;
-                        next_c += p * cb;
-                    }
+                for (j, p) in row.entries() {
+                    inflows[j].push((self.var_index(s, a), -alpha * p));
+                    let (usage_min, cost_min) = state_min[j];
+                    next_b += p * usage_min;
+                    next_c += p * cost_min;
                 }
                 *qb += alpha * next_b;
                 *qc += alpha * next_c;

@@ -157,6 +157,17 @@ impl RandomizedPolicy {
         &self.rows
     }
 
+    /// The action a uniform `draw` in `[0, 1)` selects in `state`, by
+    /// [`dpm_markov::sample_index`]: never an action of probability zero,
+    /// even when the decision sums to slightly less than one.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `state` is out of range.
+    pub fn sample(&self, state: usize, draw: f64) -> usize {
+        dpm_markov::sample_index(self.decision(state).iter().copied().enumerate(), draw)
+    }
+
     /// Number of states covered.
     pub fn num_states(&self) -> usize {
         self.rows.len()

@@ -388,10 +388,14 @@ pub(crate) fn gauge(a: &[f64], b: &[f64]) -> f64 {
 /// Row-major flattening of a requester's transition matrix.
 pub(crate) fn flatten(sr: &ServiceRequester) -> Vec<f64> {
     let n = sr.num_states();
-    let p = sr.chain().transition_matrix();
-    let mut flat = Vec::with_capacity(n * n);
-    for s in 0..n {
-        flat.extend_from_slice(p.row(s));
+    let mut flat = vec![0.0; n * n];
+    let rows = sr.chain().transition_matrix().rows();
+    for (dense, row) in flat.chunks_exact_mut(n).zip(rows) {
+        for (t, p) in row.entries() {
+            if let Some(slot) = dense.get_mut(t) {
+                *slot = p;
+            }
+        }
     }
     flat
 }

@@ -721,18 +721,7 @@ impl PowerManager for AdaptiveController {
         }
         match &self.policy {
             ActivePolicy::Fallback => self.config.wake_command,
-            ActivePolicy::Table(policy) => {
-                let decision = policy.decision(observation.state_index);
-                let draw: f64 = rng.gen();
-                let mut acc = 0.0;
-                for (command, &p) in decision.iter().enumerate() {
-                    acc += p;
-                    if draw < acc {
-                        return command;
-                    }
-                }
-                decision.len() - 1 // numerical slack: land on the last command
-            }
+            ActivePolicy::Table(policy) => policy.sample(observation.state_index, rng.gen()),
         }
     }
 

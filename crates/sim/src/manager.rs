@@ -111,16 +111,7 @@ impl StochasticPolicyManager {
 
 impl PowerManager for StochasticPolicyManager {
     fn decide(&mut self, observation: &Observation, rng: &mut dyn rand::RngCore) -> usize {
-        let decision = self.policy.decision(observation.state_index);
-        let draw: f64 = rng.gen();
-        let mut acc = 0.0;
-        for (command, &p) in decision.iter().enumerate() {
-            acc += p;
-            if draw < acc {
-                return command;
-            }
-        }
-        decision.len() - 1 // numerical slack: land on the last command
+        self.policy.sample(observation.state_index, rng.gen())
     }
 
     fn name(&self) -> String {

@@ -171,13 +171,17 @@ impl<'a> Simulator<'a> {
             stats.commands_issued[command] += 1;
 
             // SP transition.
-            let next_sp = sample_row(sp.chain().kernel(command).row(state.sp), &mut rng);
+            let next_sp = sp.chain().kernel(command).row(state.sp).sample(rng.gen());
 
             // SR transition / trace feed: arrivals during this slice come
             // from the *destination* SR state (Example 3.5's convention).
             let (next_sr, arrivals) = match &mut trace {
                 None => {
-                    let next = sample_row(sr.chain().transition_matrix().row(state.sr), &mut rng);
+                    let next = sr
+                        .chain()
+                        .transition_matrix()
+                        .row(state.sr)
+                        .sample(rng.gen());
                     (next, sr.requests(next))
                 }
                 Some((trace_arrivals, tracker)) => {
@@ -235,19 +239,6 @@ impl<'a> Simulator<'a> {
         stats.slices = self.config.slices;
         Ok(stats)
     }
-}
-
-/// Samples an index from a probability row.
-fn sample_row(row: &[f64], rng: &mut StdRng) -> usize {
-    let draw: f64 = rng.gen();
-    let mut acc = 0.0;
-    for (i, &p) in row.iter().enumerate() {
-        acc += p;
-        if draw < acc {
-            return i;
-        }
-    }
-    row.len() - 1
 }
 
 /// An SR-state tracker for two-state workload models: state 1 while
@@ -353,7 +344,7 @@ mod tests {
         let mut s = 0usize;
         let trace: Vec<u32> = (0..300_000)
             .map(|_| {
-                s = sample_row(p.row(s), &mut rng);
+                s = p.row(s).sample(rng.gen());
                 system.requester().requests(s)
             })
             .collect();

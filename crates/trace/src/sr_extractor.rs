@@ -145,24 +145,31 @@ impl SrExtractor {
                 reason: "transition counts must be finite and nonnegative".to_string(),
             });
         }
-        let mut rows: Vec<Vec<f64>> = Vec::with_capacity(n);
+        // Row s has at most two successors, the histories shifting in a
+        // 0 and a 1, in increasing order; the kernel is emitted sparsely.
+        let mut row_ptr = Vec::with_capacity(n + 1);
+        let mut cols = Vec::with_capacity(2 * n);
+        let mut probs = Vec::with_capacity(2 * n);
+        row_ptr.push(0);
         for (s, pair) in counts.iter().enumerate() {
-            let mut row = vec![0.0; n];
             let smoothed = [pair[0] + self.smoothing, pair[1] + self.smoothing];
             let total = smoothed[0] + smoothed[1];
             if total > 0.0 {
                 for (bit, &count) in smoothed.iter().enumerate() {
-                    let next = ((s << 1) | bit) & mask;
-                    row[next] += count / total;
+                    let p = count / total;
+                    if p != 0.0 {
+                        cols.push(((s << 1) | bit) & mask);
+                        probs.push(p);
+                    }
                 }
             } else {
                 // Unvisited history: inert self-loop.
-                row[s] = 1.0;
+                cols.push(s);
+                probs.push(1.0);
             }
-            rows.push(row);
+            row_ptr.push(cols.len());
         }
-        let row_refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
-        let transition = StochasticMatrix::from_rows(&row_refs)?;
+        let transition = StochasticMatrix::from_csr(n, row_ptr, cols, probs)?;
         let requests: Vec<u32> = (0..n).map(|s| (s & 1) as u32).collect();
         let names: Vec<String> = (0..n)
             .map(|s| format!("h{:0width$b}", s, width = k))
