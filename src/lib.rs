@@ -13,7 +13,7 @@
 //!
 //! * [`linalg`] — dense matrices, LU and Cholesky factorizations,
 //! * [`lp`] — two-phase simplex and PCx-style interior-point LP solvers,
-//! * [`markov`] — stochastic matrices and controlled Markov chains,
+//! * [`markov`] — sparse (CSR) stochastic matrices and controlled Markov chains,
 //! * [`mdp`] — discounted and constrained Markov decision processes,
 //! * [`core`] — the paper's system model and the policy optimizer,
 //! * [`sim`] — a slotted-time stochastic simulator (model- and trace-driven),
