@@ -425,16 +425,21 @@ impl<'a> Cursor<'a> {
             requests.push(self.u32(what)?);
             names.push(self.string(what)?);
         }
-        let mut rows = Vec::with_capacity(n);
+        // The matrix is written dense, row-major; keep its nonzeros.
+        let mut row_ptr = Vec::with_capacity(n + 1);
+        let (mut cols, mut probs) = (Vec::new(), Vec::new());
+        row_ptr.push(0);
         for _ in 0..n {
-            let mut row = Vec::with_capacity(n);
-            for _ in 0..n {
-                row.push(self.f64(what)?);
+            for t in 0..n {
+                let p = self.f64(what)?;
+                if p != 0.0 {
+                    cols.push(t);
+                    probs.push(p);
+                }
             }
-            rows.push(row);
+            row_ptr.push(cols.len());
         }
-        let refs: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
-        let matrix = StochasticMatrix::from_rows(&refs).map_err(DpmError::from)?;
+        let matrix = StochasticMatrix::from_csr(n, row_ptr, cols, probs).map_err(DpmError::from)?;
         Ok(ServiceRequester::with_names(matrix, requests, names)?)
     }
 
