@@ -73,7 +73,6 @@
 
 pub mod snapshot;
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{Read, Write};
 use std::sync::Arc;
@@ -130,10 +129,8 @@ pub struct FleetService {
     pub(crate) controller: FleetController,
     /// `ids[i]` is the id of the controller's device index `i`
     /// (ascending — ids are allocated monotonically and removals
-    /// preserve order).
+    /// preserve order — so an id's index is found by binary search).
     pub(crate) ids: Vec<DeviceId>,
-    /// Reverse map: raw id → controller device index.
-    pub(crate) index: BTreeMap<u64, usize>,
     /// Next id to allocate; never decreases.
     pub(crate) next_id: u64,
 }
@@ -144,9 +141,14 @@ impl FleetService {
         FleetService {
             controller: FleetController::new(config),
             ids: Vec::new(),
-            index: BTreeMap::new(),
             next_id: 0,
         }
+    }
+
+    /// The controller's device index of `id` (`None` for an unknown or
+    /// retired id).
+    fn position(&self, id: DeviceId) -> Option<usize> {
+        self.ids.binary_search(&id).ok()
     }
 
     /// Registers a device class at runtime — the class problem is
@@ -173,7 +175,6 @@ impl FleetService {
         self.controller.add_device(class.0)?;
         let id = DeviceId(self.next_id);
         self.next_id += 1;
-        self.index.insert(id.0, self.ids.len());
         self.ids.push(id);
         Ok(id)
     }
@@ -188,19 +189,13 @@ impl FleetService {
     ///
     /// [`DpmError::BadConfiguration`] for an unknown or retired id.
     pub fn remove_device(&mut self, id: DeviceId) -> Result<(), DpmError> {
-        let Some(&idx) = self.index.get(&id.0) else {
+        let Some(idx) = self.position(id) else {
             return Err(DpmError::BadConfiguration {
                 reason: format!("{id} is unknown or already removed"),
             });
         };
         self.controller.remove_device(idx)?;
         self.ids.remove(idx);
-        self.index = self
-            .ids
-            .iter()
-            .enumerate()
-            .map(|(i, id)| (id.0, i))
-            .collect();
         Ok(())
     }
 
@@ -223,7 +218,7 @@ impl FleetService {
         let mut dense: Vec<&[u32]> = vec![&[]; self.ids.len()];
         let mut seen = vec![false; self.ids.len()];
         for (id, stream) in arrivals {
-            let Some(&idx) = self.index.get(&id.0) else {
+            let Some(idx) = self.position(*id) else {
                 return Err(DpmError::BadConfiguration {
                     reason: format!("epoch arrivals address {id}, which is unknown or removed"),
                 });
@@ -261,7 +256,7 @@ impl FleetService {
         let mut clean = Vec::with_capacity(telemetry.len());
         let mut rejected = Vec::new();
         for (id, raw) in telemetry {
-            let Some(&idx) = self.index.get(&id.0) else {
+            let Some(idx) = self.position(*id) else {
                 return Err(DpmError::BadConfiguration {
                     reason: format!("epoch telemetry addresses {id}, which is unknown or removed"),
                 });
@@ -280,7 +275,7 @@ impl FleetService {
     /// The containment state of `id` (`None` for an unknown or retired
     /// id).
     pub fn health_of(&self, id: DeviceId) -> Option<DeviceHealth> {
-        let &idx = self.index.get(&id.0)?;
+        let idx = self.position(id)?;
         Some(self.controller.device_health(idx))
     }
 
@@ -312,27 +307,27 @@ impl FleetService {
 
     /// Whether `id` names a currently managed device.
     pub fn contains(&self, id: DeviceId) -> bool {
-        self.index.contains_key(&id.0)
+        self.position(id).is_some()
     }
 
     /// The policy currently assigned to `id` (`None` for an unknown or
     /// retired id).
     pub fn policy(&self, id: DeviceId) -> Option<&Arc<RandomizedPolicy>> {
-        let &idx = self.index.get(&id.0)?;
+        let idx = self.position(id)?;
         Some(self.controller.device_policy(idx))
     }
 
     /// The cluster `id` currently belongs to (`None` for an unknown or
     /// retired id, or while the device's estimator is warming up).
     pub fn cluster_of(&self, id: DeviceId) -> Option<usize> {
-        let &idx = self.index.get(&id.0)?;
+        let idx = self.position(id)?;
         self.controller.device_cluster(idx)
     }
 
     /// The latest fitted model of `id` (`None` for an unknown or
     /// retired id, or before the first fit).
     pub fn fit_of(&self, id: DeviceId) -> Option<&ServiceRequester> {
-        let &idx = self.index.get(&id.0)?;
+        let idx = self.position(id)?;
         self.controller.device_fit(idx)
     }
 

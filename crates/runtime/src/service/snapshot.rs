@@ -40,6 +40,13 @@
 //! [`SnapshotError::Mismatch`].
 //! | 4   | CLUSTERS | per cluster: class, members, representative, last-solved model, policy index, power, cooldown; v2 adds hold/backoff counters |
 //!
+//! Beyond framing, the reader refuses what a writer never emits:
+//! device ids that do not strictly ascend (a [`SnapshotError::Format`];
+//! the service looks ids up by binary search) and a device whose
+//! fitted SR is not its estimator's last fit, bit for bit (a
+//! [`SnapshotError::Mismatch`]; the clustering gauge reads the last
+//! fit).
+//!
 //! Policies are written once each and referenced by table index, so the
 //! `Arc` sharing between a cluster and its member devices survives the
 //! round trip. LP sessions are **not** serialized: restore rehydrates
@@ -57,7 +64,7 @@ use dpm_markov::StochasticMatrix;
 use dpm_mdp::RandomizedPolicy;
 use dpm_trace::EstimatorState;
 
-use crate::fleet::{flatten, Cluster, Device, DeviceHealth, FitOutcome};
+use crate::fleet::{Cluster, Device, DeviceHealth, FitOutcome};
 use crate::service::{DeviceId, FleetService};
 
 /// Magic bytes opening every snapshot.
@@ -641,6 +648,26 @@ fn sr_from_flat(
     Ok(ServiceRequester::with_names(matrix, requests, names)?)
 }
 
+/// Whether `flat` is `sr`'s transition matrix flattened row-major, bit
+/// for bit — what an estimator's last fit holds next to the model it
+/// fitted.
+fn is_flattening_of(flat: &[f64], sr: &ServiceRequester) -> bool {
+    let n = sr.num_states();
+    flat.len() == n * n
+        && flat
+            .chunks_exact(n)
+            .zip(sr.chain().transition_matrix().rows())
+            .all(|(dense, row)| {
+                let mut entries = row.entries().peekable();
+                dense.iter().enumerate().all(|(t, &p)| {
+                    let stored = entries
+                        .next_if(|&(col, _)| col == t)
+                        .map_or(0.0, |(_, q)| q);
+                    stored.to_bits() == p.to_bits()
+                })
+            })
+}
+
 pub(crate) fn read_snapshot(
     service: &mut FleetService,
     reader: &mut impl Read,
@@ -763,8 +790,7 @@ pub(crate) fn read_snapshot(
     let mut cur = Cursor::new(devices_bytes);
     let ndevices = cur.len("device count", 1)?;
     let mut devices = Vec::with_capacity(ndevices);
-    let mut ids = Vec::with_capacity(ndevices);
-    let mut index = BTreeMap::new();
+    let mut ids: Vec<DeviceId> = Vec::with_capacity(ndevices);
     for d in 0..ndevices {
         let id = cur.u64("device id")?;
         if id >= next_id {
@@ -772,8 +798,13 @@ pub(crate) fn read_snapshot(
                 "device id {id} not below the next-id watermark {next_id}"
             )));
         }
-        if index.insert(id, d).is_some() {
-            return Err(format_err(format!("duplicate device id {id}")));
+        // The service finds ids by binary search: they must ascend.
+        if let Some(&DeviceId(previous)) = ids.last() {
+            if id <= previous {
+                return Err(format_err(format!(
+                    "device id {id} does not ascend past the previous id {previous}"
+                )));
+            }
         }
         ids.push(DeviceId(id));
         let class = usize::try_from(cur.u64("device class")?)
@@ -840,6 +871,16 @@ pub(crate) fn read_snapshot(
         } else {
             (DeviceHealth::Healthy, 0, 0)
         };
+        let agree = match (&fit, &last_fit) {
+            (None, None) => true,
+            (Some(sr), Some(flat)) => is_flattening_of(flat, sr),
+            _ => false,
+        };
+        if !agree {
+            return Err(mismatch_err(format!(
+                "device {d}'s fitted model and its estimator's last fit disagree"
+            )));
+        }
         let mut estimator = ctl.config.base.estimator()?;
         estimator.import_state(EstimatorState {
             counts,
@@ -850,12 +891,10 @@ pub(crate) fn read_snapshot(
             divergence,
             counts_at_fit,
         })?;
-        let flat = fit.as_ref().map(flatten);
         devices.push(Device {
             class,
             estimator,
             fit,
-            flat,
             cluster,
             policy: Arc::clone(policy),
             fit_outcome: FitOutcome::None,
@@ -990,7 +1029,6 @@ pub(crate) fn read_snapshot(
     ctl.epoch = epoch;
     ctl.history = Vec::new();
     service.ids = ids;
-    service.index = index;
     service.next_id = next_id;
     Ok(report)
 }
@@ -998,6 +1036,7 @@ pub(crate) fn read_snapshot(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::ClassId;
     use crate::{AdaptiveConfig, FleetConfig};
     use dpm_trace::WindowKind;
 
@@ -1072,9 +1111,10 @@ mod tests {
         }
     }
 
-    /// The offset of the first device record's blend-prior flag in a
-    /// version-2 DEVICES payload, found by reading the fields before it.
-    fn blend_prior_offset(devices: &[u8]) -> usize {
+    /// The offset of the first device record's estimator last-fit flag
+    /// in a version-2 DEVICES payload, found by reading the fields
+    /// before it.
+    fn last_fit_offset(devices: &[u8]) -> usize {
         let mut cur = Cursor::new(devices);
         fn read<T>(field: Result<T, SnapshotError>) -> T {
             field.expect("device record decodes")
@@ -1093,9 +1133,17 @@ mod tests {
             read(cur.bool("ring bit"));
         }
         read(cur.f64("weight"));
-        read(cur.opt_f64s("last fit"));
-        if read(cur.bool("divergence flag")) {
-            read(cur.f64("divergence"));
+        cur.pos
+    }
+
+    /// The offset of the first device record's blend-prior flag in a
+    /// version-2 DEVICES payload.
+    fn blend_prior_offset(devices: &[u8]) -> usize {
+        let mut cur = Cursor::new(devices);
+        cur.pos = last_fit_offset(devices);
+        cur.opt_f64s("last fit").expect("last fit decodes");
+        if cur.bool("divergence flag").expect("flag decodes") {
+            cur.f64("divergence").expect("divergence decodes");
         }
         cur.pos
     }
@@ -1151,6 +1199,67 @@ mod tests {
         let unblended = edit_devices(&v2, |_| {});
         assert_eq!(unblended, v2);
         read_snapshot(&mut target, &mut unblended.as_slice()).expect("v2 restores");
+    }
+
+    #[test]
+    fn a_fit_that_disagrees_with_its_estimator_is_refused() {
+        let mut source = service();
+        run(&mut source, 3);
+        let v2 = checkpoint_bytes(&source);
+        // One bit of the estimator's last fit flipped, and the last fit
+        // dropped while the fitted model stays.
+        let flipped = edit_devices(&v2, |devices| {
+            let at = last_fit_offset(devices);
+            assert_eq!(devices[at], 1, "the first device has fitted");
+            devices[at + 9] ^= 1;
+        });
+        let dropped = edit_devices(&v2, |devices| {
+            let at = last_fit_offset(devices);
+            let mut len = [0u8; 8];
+            len.copy_from_slice(&devices[at + 1..at + 9]);
+            let entries = u64::from_le_bytes(len) as usize;
+            devices.splice(at..at + 9 + 8 * entries, [0]);
+        });
+        let mut target = service();
+        run(&mut target, 1);
+        let before = checkpoint_bytes(&target);
+        for (label, bytes) in [("flipped", flipped), ("dropped", dropped)] {
+            let err = read_snapshot(&mut target, &mut bytes.as_slice())
+                .expect_err("a disagreeing fit must be refused");
+            assert!(
+                matches!(err, SnapshotError::Mismatch { .. }),
+                "{label}: {err}"
+            );
+            assert_eq!(
+                checkpoint_bytes(&target),
+                before,
+                "{label} changed the service"
+            );
+        }
+        read_snapshot(&mut target, &mut v2.as_slice()).expect("the untouched snapshot restores");
+    }
+
+    #[test]
+    fn device_ids_must_ascend() {
+        // Ids 0 and 1 stay, id 2 was added and retired: next id is 3.
+        let mut source = service();
+        let class = ClassId(0);
+        let retired = source.add_device(class).expect("device adds");
+        source.remove_device(retired).expect("device removes");
+        let v2 = checkpoint_bytes(&source);
+        let mut target = service();
+        read_snapshot(&mut target, &mut v2.as_slice()).expect("ascending ids restore");
+        for (label, first) in [("descending", 2u64), ("duplicate", 1)] {
+            let bytes = edit_devices(&v2, |devices| {
+                devices[8..16].copy_from_slice(&first.to_le_bytes());
+            });
+            let err = read_snapshot(&mut target, &mut bytes.as_slice())
+                .expect_err("ids that do not ascend must be refused");
+            assert!(
+                matches!(err, SnapshotError::Format { .. }),
+                "{label}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -46,6 +46,7 @@
 #![deny(missing_debug_implementations)]
 
 pub mod generators;
+mod packed;
 mod record;
 mod sr_extractor;
 mod stats;

@@ -1,6 +1,8 @@
 use dpm_core::{DpmError, ServiceRequester};
 use dpm_markov::StochasticMatrix;
 
+use crate::packed;
+
 /// The **SR extractor** of Section V: fits a k-memory Markov model to a
 /// discretized request stream.
 ///
@@ -100,20 +102,17 @@ impl SrExtractor {
                 ),
             });
         }
-        let n = self.num_states();
-        let mask = n - 1;
-        let mut counts = vec![[0.0f64; 2]; n];
-
-        // Seed the history with the first k bits, then count transitions.
-        let mut state = 0usize;
-        for &c in &stream[..k] {
-            state = ((state << 1) | usize::from(c > 0)) & mask;
-        }
-        for &c in &stream[k..] {
-            let bit = usize::from(c > 0);
-            counts[state][bit] += 1.0;
-            state = ((state << 1) | bit) & mask;
-        }
+        // The first k slices only seed the history; every later slice
+        // closes one transition, counted over the packed stream.
+        let mut words = Vec::new();
+        packed::pack(stream, &mut words);
+        let mut counts = vec![[0.0f64; 2]; self.num_states()];
+        let patterns = counts.as_flattened_mut();
+        packed::count_patterns(&words, 0, k..stream.len(), k, |pattern, count| {
+            if let Some(c) = patterns.get_mut(pattern) {
+                *c += count as f64;
+            }
+        });
         self.extract_from_counts(&counts)
     }
 
@@ -333,28 +332,42 @@ mod tests {
     #[test]
     fn counts_path_matches_stream_path() {
         // Fitting from a stream and from the stream's own transition
-        // counts must produce identical models.
-        let stream: Vec<u32> = (0..500).map(|i| u32::from(i % 7 < 3)).collect();
-        let extractor = SrExtractor::new(2).with_smoothing(0.5);
-        let from_stream = extractor.extract(&stream).unwrap();
-        let mut counts = vec![[0.0f64; 2]; 4];
-        let mut state = 0usize;
-        for &c in &stream[..2] {
-            state = ((state << 1) | usize::from(c > 0)) & 3;
-        }
-        for &c in &stream[2..] {
-            let bit = usize::from(c > 0);
-            counts[state][bit] += 1.0;
-            state = ((state << 1) | bit) & 3;
-        }
-        let from_counts = extractor.extract_from_counts(&counts).unwrap();
-        for s in 0..4 {
-            for t in 0..4 {
-                assert_eq!(
-                    from_stream.chain().transition_matrix().prob(s, t),
-                    from_counts.chain().transition_matrix().prob(s, t),
-                    "({s},{t})"
-                );
+        // counts, tallied slice by slice, must produce identical models,
+        // unvisited histories and smoothing included.
+        use rand::{RngCore, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        for memory in [1u32, 2, 3, 5, 8, 16] {
+            let k = memory as usize;
+            for len in [k + 1, 63, 64, 65, 129, 1000] {
+                let density = rng.next_u64() % 101;
+                let stream: Vec<u32> = (0..len)
+                    .map(|_| u32::from(rng.next_u64() % 100 < density) * 2)
+                    .collect();
+                let mut counts = vec![[0.0f64; 2]; 1 << k];
+                let mut state = 0usize;
+                for &c in &stream[..k] {
+                    state = ((state << 1) | usize::from(c > 0)) & ((1 << k) - 1);
+                }
+                for &c in &stream[k..] {
+                    let bit = usize::from(c > 0);
+                    counts[state][bit] += 1.0;
+                    state = ((state << 1) | bit) & ((1 << k) - 1);
+                }
+                for alpha in [0.0, 0.25] {
+                    let extractor = SrExtractor::new(memory).with_smoothing(alpha);
+                    let entries = |sr: &ServiceRequester| -> Vec<(usize, u64)> {
+                        sr.chain()
+                            .transition_matrix()
+                            .rows()
+                            .flat_map(|row| row.entries().map(|(t, p)| (t, p.to_bits())))
+                            .collect()
+                    };
+                    assert_eq!(
+                        entries(&extractor.extract(&stream).unwrap()),
+                        entries(&extractor.extract_from_counts(&counts).unwrap()),
+                        "k={memory} len={len} alpha={alpha}"
+                    );
+                }
             }
         }
     }
