@@ -27,44 +27,23 @@ use crate::{LinearProgram, LpError, LpSolution, LpSolver, SolveSession};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
-pub struct InteriorPoint {
-    max_iterations: usize,
-    tolerance: f64,
-}
+#[derive(Debug, Clone, Default)]
+#[non_exhaustive]
+pub struct InteriorPoint;
 
-impl Default for InteriorPoint {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// Convergence tolerance on the scaled residuals and the duality
+/// measure μ. It sits deliberately above `f64` round-off amplified by
+/// the normal-equations conditioning of near-degenerate occupation LPs;
+/// much tighter tolerances on such problems make μ stagnate without
+/// improving the returned point.
+const TOLERANCE: f64 = 1e-7;
+/// Newton-step limit.
+const MAX_ITERATIONS: usize = 300;
 
 impl InteriorPoint {
-    /// Creates a solver with default settings (tolerance `1e-7`, at most
-    /// 300 Newton steps).
-    ///
-    /// The tolerance sits deliberately above `f64` round-off amplified by
-    /// the normal-equations conditioning of near-degenerate occupation
-    /// LPs; requesting much tighter tolerances on such problems makes μ
-    /// stagnate without improving the returned point.
+    /// Creates a solver (tolerance `1e-7`, at most 300 Newton steps).
     pub fn new() -> Self {
-        InteriorPoint {
-            max_iterations: 300,
-            tolerance: 1e-7,
-        }
-    }
-
-    /// Sets the convergence tolerance on the scaled residuals and the
-    /// duality measure μ.
-    pub fn tolerance(mut self, tol: f64) -> Self {
-        self.tolerance = tol;
-        self
-    }
-
-    /// Sets the Newton-step limit.
-    pub fn max_iterations(mut self, limit: usize) -> Self {
-        self.max_iterations = limit;
-        self
+        InteriorPoint
     }
 
     /// Core predictor–corrector loop on standard-form data.
@@ -101,7 +80,7 @@ impl InteriorPoint {
         let mut best_merit = f64::INFINITY;
         let mut stalled = 0usize;
 
-        for iter in 0..self.max_iterations {
+        for iter in 0..MAX_ITERATIONS {
             // Residuals: rb = A x − b, rc = Aᵀy + s − c.
             let ax = a.matvec(&x)?;
             let mut rb: Vec<f64> = ax.iter().zip(b).map(|(l, r)| l - r).collect();
@@ -116,7 +95,7 @@ impl InteriorPoint {
 
             let rb_norm = vector::norm_inf(&rb) / (1.0 + b_norm);
             let rc_norm = vector::norm_inf(&rc) / (1.0 + c_norm);
-            if rb_norm < self.tolerance && rc_norm < self.tolerance && mu < self.tolerance {
+            if rb_norm < TOLERANCE && rc_norm < TOLERANCE && mu < TOLERANCE {
                 return Ok((x, y, iter));
             }
             let merit = rb_norm + rc_norm + mu;
@@ -125,7 +104,7 @@ impl InteriorPoint {
                 stalled = 0;
             } else {
                 stalled += 1;
-                if stalled >= 15 && merit < 100.0 * self.tolerance {
+                if stalled >= 15 && merit < 100.0 * TOLERANCE {
                     return Ok((x, y, iter));
                 }
             }
@@ -138,7 +117,7 @@ impl InteriorPoint {
             // feasibility answers, so a heuristic is acceptable here.
             let x_max = vector::norm_inf(&x);
             if x_max > 1e14 {
-                return Err(if rb_norm > self.tolerance {
+                return Err(if rb_norm > TOLERANCE {
                     LpError::Infeasible
                 } else {
                     LpError::Unbounded
@@ -223,7 +202,7 @@ impl InteriorPoint {
             }
         }
         Err(LpError::IterationLimit {
-            limit: self.max_iterations,
+            limit: MAX_ITERATIONS,
         })
     }
 }

@@ -17,8 +17,8 @@
 //!   *and* the pricing cost scale with the nonzero/candidate count, not
 //!   with `m³` or the full column count.
 //! * [`Simplex`] — a two-phase primal simplex method on a dense tableau,
-//!   with steepest-edge pricing, cost perturbation and periodic
-//!   refactorization against degeneracy (see [`PivotRule`]). It detects
+//!   with steepest-edge pricing (Bland's rule on a stall), cost
+//!   perturbation and periodic refactorization against degeneracy. It detects
 //!   infeasibility and unboundedness exactly, which the policy optimizer
 //!   uses to map the *feasible allocation set* (Section IV-A of the
 //!   paper), and serves as the independent cross-check for the sparse
@@ -83,27 +83,28 @@
 //! [`SolveSession`] that owns the standard-form data and, for
 //! [`RevisedSimplex`], the factorized basis.
 //!
-//! * [`SolveSession::set_rhs`] / [`SolveSession::set_objective`] mutate
-//!   the loaded model in place; constraint rows keep their 0-based
-//!   insertion index as a stable handle.
+//! * [`SolveSession::set_rhs`] moves one right-hand side in place;
+//!   constraint rows keep their 0-based insertion index as a stable
+//!   handle.
 //! * [`SolveSession::solve`] re-optimizes. After an RHS change the
 //!   previous basis is still **dual feasible**, so [`RevisedSimplex`]
 //!   restores primal feasibility by dual simplex pivots on the existing
-//!   LU factorization; after an objective change it re-prices with primal
-//!   pivots from the still-primal-feasible basis. The dense [`Simplex`]
-//!   and [`InteriorPoint`] engines run correct cold re-solves.
+//!   LU factorization. The dense [`Simplex`] and [`InteriorPoint`]
+//!   engines run correct cold re-solves.
 //! * Every solve returns a [`SolveReport`] — warm vs cold, pivot and
 //!   refactorization counts, and the [`InfeasibilityCertificate`] kind
 //!   when a solve ends infeasible (also kept in
 //!   [`SolveSession::last_report`]).
 //! * [`SolveSession::reload`] replaces the **whole loaded program** —
-//!   every coefficient, not just one rhs or the objective. The contract:
+//!   every coefficient, not just one rhs. A cost change is a reload of
+//!   the program with the new objective. The contract:
 //!   a **shape-identical** program (same variables and orientation, same
 //!   per-row operators and sparsity pattern) reloads
 //!   [`ReloadKind::Warm`] on [`RevisedSimplex`] — the optimal basis is
 //!   kept, the new coefficients are refactorized through the existing
-//!   sparse-LU path, and the next solve repairs primal/dual feasibility
-//!   (phase-2 / dual simplex, cold fallback on numerical trouble);
+//!   sparse-LU path, and the next solve repairs it (dual simplex when the
+//!   basic values left the feasible region, then phase 2; cold fallback
+//!   on numerical trouble);
 //!   anything else — a grown constraint set, a changed pattern, a
 //!   non-warm engine — reloads [`ReloadKind::Cold`]. This is the
 //!   primitive behind per-epoch *model drift*: an online adaptation loop
@@ -149,7 +150,7 @@ pub use revised_simplex::RevisedSimplex;
 pub use session::{
     InfeasibilityCertificate, ReloadKind, SolveBudget, SolveReport, SolveSession, Termination,
 };
-pub use simplex::{PivotRule, Simplex};
+pub use simplex::Simplex;
 pub use solution::LpSolution;
 
 /// A linear-programming algorithm that can solve a [`LinearProgram`].

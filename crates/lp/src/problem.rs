@@ -207,28 +207,6 @@ impl LinearProgram {
         Ok(self)
     }
 
-    /// Replaces the objective coefficient vector, keeping the program's
-    /// orientation (minimize/maximize) and every constraint.
-    ///
-    /// # Errors
-    ///
-    /// * [`LpError::BadConstraint`] when `c.len()` differs from
-    ///   `num_vars()` — the variable set of a loaded program is fixed.
-    /// * [`LpError::NonFiniteInput`] when any coefficient is NaN/∞.
-    pub fn set_objective(&mut self, c: &[f64]) -> Result<&mut Self, LpError> {
-        if c.len() != self.objective.len() {
-            return Err(LpError::BadConstraint {
-                found: c.len(),
-                expected: self.objective.len(),
-            });
-        }
-        if c.iter().any(|v| !v.is_finite()) {
-            return Err(LpError::NonFiniteInput);
-        }
-        self.objective.copy_from_slice(c);
-        Ok(self)
-    }
-
     /// Number of decision variables.
     pub fn num_vars(&self) -> usize {
         self.objective.len()
@@ -654,24 +632,6 @@ mod tests {
             lp.set_rhs(0, f64::NAN).unwrap_err(),
             LpError::NonFiniteInput
         );
-    }
-
-    #[test]
-    fn set_objective_replaces_costs_in_place() {
-        let mut lp = LinearProgram::maximize(&[1.0, 2.0]);
-        lp.add_constraint(&[1.0, 1.0], ConstraintOp::Le, 1.0)
-            .unwrap();
-        lp.set_objective(&[5.0, -1.0]).unwrap();
-        assert_eq!(lp.objective_coefficients(), &[5.0, -1.0]);
-        assert!(lp.is_maximize());
-        assert!(lp.set_objective(&[1.0]).is_err());
-        assert_eq!(
-            lp.set_objective(&[1.0, f64::NEG_INFINITY]).unwrap_err(),
-            LpError::NonFiniteInput
-        );
-        // The standard form picks up the new costs (negated for max).
-        let sf = lp.to_standard_form().unwrap();
-        assert_eq!(sf.c, vec![-5.0, 1.0, 0.0]);
     }
 
     #[test]

@@ -83,7 +83,6 @@ pub struct RevisedSimplex {
     max_iterations: usize,
     tolerance: f64,
     refactor_interval: usize,
-    budget: SolveBudget,
 }
 
 impl Default for RevisedSimplex {
@@ -102,7 +101,6 @@ impl RevisedSimplex {
             max_iterations: 50_000,
             tolerance: 1e-9,
             refactor_interval: 128,
-            budget: SolveBudget::UNLIMITED,
         }
     }
 
@@ -150,17 +148,6 @@ impl RevisedSimplex {
         self.refactor_interval = pivots.max(1);
         self
     }
-
-    /// Caps the work of every solve with a [`SolveBudget`] (see
-    /// [`SolveSession::set_budget`] for the per-session override). A
-    /// budget covers one whole [`SolveSession::solve`] call — a warm
-    /// attempt that degrades to a cold rebuild draws from the same
-    /// allowance — and exhaustion surfaces as
-    /// [`LpError::BudgetExhausted`] with the session left usable.
-    pub fn with_budget(mut self, budget: SolveBudget) -> Self {
-        self.budget = budget;
-        self
-    }
 }
 
 impl RevisedSimplex {
@@ -189,13 +176,9 @@ impl LpSolver for RevisedSimplex {
             config: self.clone(),
             lp: lp.clone(),
             seed: Vec::new(),
-            core: None,
-            warm: false,
-            rhs_dirty: false,
-            obj_dirty: false,
-            reload_pending: false,
+            state: State::Cold,
             symbolic_reported: 0,
-            budget: self.budget,
+            budget: SolveBudget::UNLIMITED,
             refactor_requested: false,
             report: SolveReport::new("revised-simplex"),
         }))
@@ -206,7 +189,7 @@ impl LpSolver for RevisedSimplex {
     fn solve(&self, lp: &LinearProgram) -> Result<LpSolution, LpError> {
         lp.validate()?;
         let mut core = Core::build(lp, self.tolerance, self.refactor_interval, &[])?;
-        core.arm(self.budget, fault::arm());
+        core.arm(SolveBudget::UNLIMITED, fault::arm());
         self.run_cold(&mut core, lp)
     }
 
@@ -1182,16 +1165,6 @@ impl Core {
         self.b[row] = self.flip[row] * rhs;
     }
 
-    /// Parametric objective update: new user-orientation costs `c`
-    /// (`sign` is `−1` for maximization). Slack and artificial costs stay
-    /// zero.
-    fn set_costs(&mut self, c: &[f64], sign: f64) {
-        for (cost, &cj) in self.cost.iter_mut().zip(c) {
-            *cost = sign * cj;
-        }
-        debug_assert!(c.len() == self.num_original);
-    }
-
     /// Re-solves the basic values `x_B = B⁻¹ b` after a rhs change.
     fn recompute_basics(&mut self) -> Result<(), LpError> {
         self.x_b = self.ftran(&self.b)?;
@@ -1330,22 +1303,23 @@ impl Core {
 
 /// A stateful [`SolveSession`] over the revised simplex: owns the mirror
 /// program, the standard-form columns and the factorized basis, and
-/// re-solves parametric mutations warm.
+/// re-solves parametric mutations warm from the retained basis.
 ///
-/// * **rhs change** → the previous optimal basis is still dual feasible;
-///   [`Core::dual_simplex`] restores primal feasibility in-place.
-/// * **objective change** → the basis is still primal feasible; primal
-///   phase-2 pivots re-optimize from it.
-/// * **whole-model reload** ([`SolveSession::reload`]) of a
-///   shape-identical program → the basis is kept, the new coefficients
-///   are refactorized through the retained sparse-LU path, and the next
-///   solve repairs whichever feasibility the drift broke (primal phase-2
-///   when the basic values survived, dual simplex + phase-2 when only
-///   dual feasibility did, cold fallback when neither).
-/// * **both at once**, a failed warm attempt, a cold reload, or the very
-///   first solve → a cold two-phase solve, started from the seeded basis
-///   when [`SolveSession::seed_basis`] set one (the session then becomes
-///   warm again).
+/// * **rhs change** ([`SolveSession::set_rhs`]) → the optimal basis is
+///   still dual feasible; the basic values are recomputed and, when they
+///   left the feasible region, [`Core::dual_simplex`] restores primal
+///   feasibility in place.
+/// * **shape-identical reload** ([`SolveSession::reload`]; a cost change
+///   is one) → the basis is kept and refactorized under the new
+///   coefficients through the retained sparse-LU path. The next solve
+///   repairs it the same way, but checks dual feasibility before it
+///   trusts a dual-simplex `Infeasible` verdict.
+/// * the first solve, a cold reload, or a warm repair that fails
+///   numerically → a cold two-phase solve, started from the seeded basis
+///   when [`SolveSession::seed_basis`] set one.
+///
+/// Every warm repair ends with primal phase 2, which re-optimizes after a
+/// cost change and prices once at an already-optimal basis.
 #[derive(Debug)]
 struct RevisedSession {
     config: RevisedSimplex,
@@ -1355,16 +1329,8 @@ struct RevisedSession {
     /// The basis seed every cold start places ([`SolveSession::seed_basis`]):
     /// one entry per constraint row, empty for the plain start.
     seed: Vec<Option<usize>>,
-    core: Option<Core>,
-    /// `true` when `core` holds an optimal (dual-feasible) basis usable
-    /// as a warm start.
-    warm: bool,
-    rhs_dirty: bool,
-    obj_dirty: bool,
-    /// A shape-identical [`SolveSession::reload`] refreshed the core's
-    /// coefficients; the next solve must run the reload-repair path
-    /// instead of assuming the retained basis is still optimal.
-    reload_pending: bool,
+    /// The retained basis, if any, and what the next solve must repair.
+    state: State,
     /// The core's [`Core::symbolic_reuses`] total already attributed to
     /// previous reports. Symbolic reuses can happen *between* solves
     /// (a [`SolveSession::reload`] refactorizes immediately), so the
@@ -1378,6 +1344,30 @@ struct RevisedSession {
     /// refreshes the retained factors from pristine columns first.
     refactor_requested: bool,
     report: SolveReport,
+}
+
+/// What a [`RevisedSession`] retains between solves.
+#[derive(Debug, Clone)]
+enum State {
+    /// No basis: the next solve is cold.
+    Cold,
+    /// An optimal, hence dual-feasible, basis. `rhs_moved` marks a
+    /// [`SolveSession::set_rhs`] since: the basic values are stale. A
+    /// solve that ends infeasible (dual pivots keep the basis dual
+    /// feasible) or out of budget leaves the state as it was.
+    Optimal { core: Box<Core>, rhs_moved: bool },
+    /// A basis refactorized under a shape-identical reload's
+    /// coefficients; whether it is still dual feasible is not yet known.
+    Reloaded { core: Box<Core> },
+}
+
+impl State {
+    fn core(&self) -> Option<&Core> {
+        match self {
+            State::Cold => None,
+            State::Optimal { core, .. } | State::Reloaded { core } => Some(core),
+        }
+    }
 }
 
 /// Effort counters of a core at the start of a warm attempt, so the
@@ -1424,90 +1414,53 @@ impl EffortMark {
 }
 
 impl RevisedSession {
-    /// Warm re-solve on the retained core. Any error other than
-    /// `Infeasible`/`Unbounded`/`BudgetExhausted` makes the caller fall
-    /// back to cold.
-    fn try_warm(
+    /// Warm repair of the retained basis; `None` when there is none.
+    ///
+    /// When the rhs moved or the basis was reloaded, the basic values are
+    /// recomputed; if they left the feasible region, the dual simplex
+    /// repairs them. Its ratio test clamps tolerance-level dual
+    /// infeasibility, so mild pricing drift after a reload is absorbed
+    /// too — but its `Infeasible` verdict is an exact dual-ray
+    /// certificate only from a basis verified dual feasible. From an
+    /// unverified one it is reported as numerical trouble, and the cold
+    /// fallback re-derives the exact verdict. Phase-2 primal pivots then
+    /// restore optimality.
+    fn repair(
         &mut self,
         report: &mut SolveReport,
         budget: SolveBudget,
         faults: Option<ArmedFaults>,
-    ) -> Result<LpSolution, LpError> {
-        let core = self.core.as_mut().expect("warm implies a retained core");
+    ) -> Option<Result<LpSolution, LpError>> {
+        let (core, recompute, verified) = match &mut self.state {
+            State::Cold => return None,
+            State::Optimal { core, rhs_moved } => (core, *rhs_moved, true),
+            State::Reloaded { core } => (core, true, false),
+        };
         report.warm_start = true;
         core.arm(budget, faults);
         let mark = EffortMark::take(core);
         let result = (|| {
-            if self.rhs_dirty {
+            if recompute {
                 core.recompute_basics()?;
-                core.dual_simplex(self.config.max_iterations)?;
-            }
-            // Re-price (after an objective change) and clean up any
-            // tolerance-level dual infeasibility the dual loop left; at
-            // an already-optimal basis this prices once and pivots zero
-            // times.
-            core.optimize(Phase::Two, self.config.pricing, self.config.max_iterations)?;
-            core.extract_solution(&self.lp, core.pivots - mark.pivots)
-        })();
-        core.disarm();
-        mark.stamp(core, report);
-        result
-    }
-
-    /// Feasibility-repair solve after a shape-identical
-    /// [`SolveSession::reload`]: the core already carries the new
-    /// coefficients and a refactorized retained basis, but the drift may
-    /// have broken primal feasibility (basic values moved), dual
-    /// feasibility (reduced costs moved), or both. Repairs whichever
-    /// side survived; when neither did, errors out so the caller falls
-    /// back to a cold solve.
-    fn try_warm_reload(
-        &mut self,
-        report: &mut SolveReport,
-        budget: SolveBudget,
-        faults: Option<ArmedFaults>,
-    ) -> Result<LpSolution, LpError> {
-        let core = self
-            .core
-            .as_mut()
-            .expect("reload_pending implies a retained core");
-        report.warm_start = true;
-        core.arm(budget, faults);
-        let mark = EffortMark::take(core);
-        let result = (|| {
-            core.recompute_basics()?;
-            if !core.is_primal_feasible() {
-                // The basic values drifted out of feasibility: dual
-                // simplex repairs them from the retained basis. Its
-                // ratio test clamps tolerance-level dual infeasibility,
-                // so mild pricing drift is absorbed too — but then its
-                // `Infeasible` verdict is only an exact dual-ray
-                // certificate when the basis was verifiably dual
-                // feasible going in; otherwise degrade to the cold
-                // path, which re-derives the exact verdict.
-                let dual_ok = core.is_dual_feasible()?;
-                match core.dual_simplex(self.config.max_iterations) {
-                    Ok(_) => {}
-                    Err(LpError::Infeasible) if dual_ok => return Err(LpError::Infeasible),
-                    Err(LpError::Infeasible) => {
-                        return Err(LpError::Numerical {
-                            reason: "dual repair of a dual-infeasible reloaded basis stalled"
-                                .to_string(),
-                        })
-                    }
-                    Err(e) => return Err(e),
+                if !core.is_primal_feasible() {
+                    let dual_ok = verified || core.is_dual_feasible()?;
+                    match core.dual_simplex(self.config.max_iterations) {
+                        Err(LpError::Infeasible) if !dual_ok => {
+                            return Err(LpError::Numerical {
+                                reason: "dual repair of a dual-infeasible reloaded basis stalled"
+                                    .to_string(),
+                            })
+                        }
+                        other => other?,
+                    };
                 }
             }
-            // Phase-2 primal pivots restore optimality (and with it dual
-            // feasibility) from the now primal-feasible basis; at an
-            // already-optimal basis this prices once and pivots zero
-            // times.
             core.optimize(Phase::Two, self.config.pricing, self.config.max_iterations)?;
             core.extract_solution(&self.lp, core.pivots - mark.pivots)
         })();
         core.disarm();
         mark.stamp(core, report);
-        result
+        Some(result)
     }
 
     /// Folds the core's symbolic-reuse total into `report` as a delta
@@ -1515,7 +1468,7 @@ impl RevisedSession {
     /// Counts reuses since the last report — including reload-time
     /// refactorizations that ran between solves.
     fn note_symbolic(&mut self, report: &mut SolveReport) {
-        let total = self.core.as_ref().map_or(0, |c| c.symbolic_reuses);
+        let total = self.state.core().map_or(0, |c| c.symbolic_reuses);
         report.symbolic_reuse = total.saturating_sub(self.symbolic_reported);
         self.symbolic_reported = total;
     }
@@ -1529,9 +1482,7 @@ impl RevisedSession {
         budget: SolveBudget,
         faults: Option<ArmedFaults>,
     ) -> Result<LpSolution, LpError> {
-        self.core = None;
-        self.warm = false;
-        self.reload_pending = false;
+        self.state = State::Cold;
         report.warm_start = false;
         let config = &self.config;
         let mut core = Core::build(
@@ -1546,10 +1497,10 @@ impl RevisedSession {
         EffortMark::FRESH.stamp(&core, report);
         match result {
             Ok(solution) => {
-                self.core = Some(core);
-                self.warm = true;
-                self.rhs_dirty = false;
-                self.obj_dirty = false;
+                self.state = State::Optimal {
+                    core: Box::new(core),
+                    rhs_moved: false,
+                };
                 Ok(solution)
             }
             Err(e) => {
@@ -1583,57 +1534,39 @@ fn check_seed(lp: &LinearProgram, columns: &[Option<usize>]) -> Result<(), LpErr
 impl SolveSession for RevisedSession {
     fn set_rhs(&mut self, row: usize, rhs: f64) -> Result<(), LpError> {
         self.lp.set_rhs(row, rhs)?;
-        if let Some(core) = &mut self.core {
-            core.set_rhs_row(row, rhs);
+        match &mut self.state {
+            State::Cold => {}
+            State::Optimal { core, rhs_moved } => {
+                core.set_rhs_row(row, rhs);
+                *rhs_moved = true;
+            }
+            State::Reloaded { core } => core.set_rhs_row(row, rhs),
         }
-        self.rhs_dirty = true;
-        Ok(())
-    }
-
-    fn set_objective(&mut self, c: &[f64]) -> Result<(), LpError> {
-        self.lp.set_objective(c)?;
-        let sign = if self.lp.is_maximize() { -1.0 } else { 1.0 };
-        if let Some(core) = &mut self.core {
-            core.set_costs(c, sign);
-        }
-        self.obj_dirty = true;
         Ok(())
     }
 
     fn reload(&mut self, lp: &LinearProgram) -> Result<ReloadKind, LpError> {
         lp.validate()?;
-        let warmable = self.warm && self.core.is_some() && same_shape(&self.lp, lp);
+        let warmable = same_shape(&self.lp, lp);
         if check_seed(lp, &self.seed).is_err() {
             self.seed.clear();
         }
         self.lp = lp.clone();
-        self.rhs_dirty = false;
-        self.obj_dirty = false;
-        if !warmable {
-            self.core = None;
-            self.warm = false;
-            self.reload_pending = false;
-            return Ok(ReloadKind::Cold);
-        }
-        match self
-            .core
-            .as_mut()
-            .expect("warmable implies a retained core")
-            .reload_coefficients(&self.lp)
-        {
-            Ok(()) => {
-                self.reload_pending = true;
-                Ok(ReloadKind::Warm)
+        self.state = match std::mem::replace(&mut self.state, State::Cold) {
+            State::Optimal { mut core, .. } | State::Reloaded { mut core } if warmable => {
+                // A retained basis singular under the new coefficients
+                // degrades to a cold restart, not an error.
+                match core.reload_coefficients(&self.lp) {
+                    Ok(()) => State::Reloaded { core },
+                    Err(_) => State::Cold,
+                }
             }
-            Err(_) => {
-                // The retained basis is singular under the new
-                // coefficients: degrade to a cold restart, not an error.
-                self.core = None;
-                self.warm = false;
-                self.reload_pending = false;
-                Ok(ReloadKind::Cold)
-            }
-        }
+            _ => State::Cold,
+        };
+        Ok(match self.state {
+            State::Reloaded { .. } => ReloadKind::Warm,
+            _ => ReloadKind::Cold,
+        })
     }
 
     fn solve(&mut self) -> Result<(LpSolution, SolveReport), LpError> {
@@ -1643,125 +1576,66 @@ impl SolveSession for RevisedSession {
         // carries both over instead of starting fresh.
         let faults = fault::arm();
         let budget = self.budget;
-        // Pivots/refactorizations a failed warm attempt spent, deducted
-        // from the cold fallback's allowance (and folded back into any
-        // `BudgetExhausted` it reports).
-        let mut spent_pivots = 0usize;
-        let mut spent_refactors = 0usize;
         // A requested refactorization (`force_refactor`) refreshes the
         // retained factors from pristine columns before any warm work; a
         // failure degrades to the cold rebuild.
-        if self.refactor_requested {
-            self.refactor_requested = false;
-            if let Some(core) = &mut self.core {
+        if std::mem::take(&mut self.refactor_requested) {
+            if let State::Optimal { core, .. } | State::Reloaded { core } = &mut self.state {
                 if core.refactor().is_err() {
-                    self.core = None;
-                    self.warm = false;
-                    self.reload_pending = false;
+                    self.state = State::Cold;
                 }
             }
         }
-        // A pending shape-identical reload runs the feasibility-repair
-        // path from the retained basis; numerical trouble falls through
-        // to the cold rebuild below.
-        if self.reload_pending {
-            match self.try_warm_reload(&mut report, budget, faults.clone()) {
-                Ok(solution) => {
-                    self.reload_pending = false;
-                    self.note_symbolic(&mut report);
-                    self.report = report.clone();
-                    return Ok((solution, report));
-                }
-                Err(e @ (LpError::Infeasible | LpError::Unbounded)) => {
-                    // Exact verdicts (the dual simplex only ran from a
-                    // verified dual-feasible basis). The session stays in
-                    // the reload-repair regime: a later bound relaxation
-                    // through `set_rhs` lands on the same repair path.
-                    if e == LpError::Infeasible {
-                        report.infeasibility = Some(InfeasibilityCertificate::DualRay);
-                    }
-                    report.termination = Termination::of_error(&e);
-                    self.note_symbolic(&mut report);
-                    self.report = report;
-                    return Err(e);
-                }
-                Err(e @ LpError::BudgetExhausted { .. }) => {
-                    // The budget covers the whole solve: nothing is left
-                    // for a cold rebuild. The retained basis is mid-
-                    // repair, so the next solve runs the same path with
-                    // whatever budget the caller grants then.
-                    report.termination = Termination::of_error(&e);
-                    self.note_symbolic(&mut report);
-                    self.report = report;
-                    return Err(e);
-                }
-                Err(_) => {
-                    self.reload_pending = false;
-                    spent_pivots = report.iterations;
-                    spent_refactors = report.refactorizations;
-                }
+        let result = match self.repair(&mut report, budget, faults.clone()) {
+            Some(Ok(solution)) => {
+                self.state = match std::mem::replace(&mut self.state, State::Cold) {
+                    State::Optimal { core, .. } | State::Reloaded { core } => State::Optimal {
+                        core,
+                        rhs_moved: false,
+                    },
+                    State::Cold => State::Cold,
+                };
+                Ok(solution)
             }
-        } else if self.warm && !(self.rhs_dirty && self.obj_dirty) {
-            match self.try_warm(&mut report, budget, faults.clone()) {
-                Ok(solution) => {
-                    self.rhs_dirty = false;
-                    self.obj_dirty = false;
-                    self.note_symbolic(&mut report);
-                    self.report = report.clone();
-                    return Ok((solution, report));
+            Some(Err(
+                e @ (LpError::Infeasible | LpError::Unbounded | LpError::BudgetExhausted { .. }),
+            )) => {
+                // Exact verdicts (the dual simplex only reports
+                // `Infeasible` from a verified dual-feasible basis), or a
+                // budget that leaves nothing for a cold rebuild. The state
+                // stays: a later bound relaxation, or a re-budgeted retry,
+                // resumes from the retained basis.
+                if e == LpError::Infeasible {
+                    report.infeasibility = Some(InfeasibilityCertificate::DualRay);
                 }
-                Err(e @ (LpError::Infeasible | LpError::Unbounded)) => {
-                    // Exact verdicts. The basis is still dual feasible
-                    // (dual pivots preserve it), so the session stays
-                    // warm: a later bound relaxation re-solves cheaply.
-                    // Dirty flags stay set — the core's data still
-                    // reflects the mutations.
-                    if e == LpError::Infeasible {
-                        report.infeasibility = Some(InfeasibilityCertificate::DualRay);
-                    }
-                    report.termination = Termination::of_error(&e);
-                    self.note_symbolic(&mut report);
-                    self.report = report;
-                    return Err(e);
-                }
-                Err(e @ LpError::BudgetExhausted { .. }) => {
-                    // Budget spent on the warm attempt: no cold fallback.
-                    // The session stays warm — the retained basis is a
-                    // legitimate restart point for a re-budgeted solve.
-                    report.termination = Termination::of_error(&e);
-                    self.note_symbolic(&mut report);
-                    self.report = report;
-                    return Err(e);
-                }
-                Err(_) => {
-                    // Numerical trouble on the warm path: retry cold on
-                    // the remaining budget.
-                    spent_pivots = report.iterations;
-                    spent_refactors = report.refactorizations;
-                }
+                Err(e)
             }
-        }
-        let remaining = SolveBudget {
-            max_pivots: budget
-                .max_pivots
-                .map(|limit| limit.saturating_sub(spent_pivots)),
-            max_refactorizations: budget
-                .max_refactorizations
-                .map(|limit| limit.saturating_sub(spent_refactors)),
+            // No retained basis, or numerical trouble on the warm path:
+            // solve cold on what is left of the budget.
+            _ => {
+                let (spent_pivots, spent_refactors) = (report.iterations, report.refactorizations);
+                let remaining = SolveBudget {
+                    max_pivots: budget
+                        .max_pivots
+                        .map(|limit| limit.saturating_sub(spent_pivots)),
+                    max_refactorizations: budget
+                        .max_refactorizations
+                        .map(|limit| limit.saturating_sub(spent_refactors)),
+                };
+                self.solve_cold(&mut report, remaining, faults)
+                    .map_err(|e| match e {
+                        // Report whole-solve spending, warm attempt included.
+                        LpError::BudgetExhausted {
+                            pivots,
+                            refactorizations,
+                        } => LpError::BudgetExhausted {
+                            pivots: pivots + spent_pivots,
+                            refactorizations: refactorizations + spent_refactors,
+                        },
+                        other => other,
+                    })
+            }
         };
-        let result = self
-            .solve_cold(&mut report, remaining, faults)
-            .map_err(|e| match e {
-                // Report whole-solve spending, warm attempt included.
-                LpError::BudgetExhausted {
-                    pivots,
-                    refactorizations,
-                } => LpError::BudgetExhausted {
-                    pivots: pivots + spent_pivots,
-                    refactorizations: refactorizations + spent_refactors,
-                },
-                other => other,
-            });
         if let Err(e) = &result {
             report.termination = Termination::of_error(e);
         }
@@ -1780,12 +1654,8 @@ impl SolveSession for RevisedSession {
             config: self.config.clone(),
             lp: self.lp.clone(),
             seed: self.seed.clone(),
-            core: self.core.clone(),
-            warm: self.warm,
-            rhs_dirty: self.rhs_dirty,
-            obj_dirty: self.obj_dirty,
-            reload_pending: self.reload_pending,
-            symbolic_reported: self.core.as_ref().map_or(0, |c| c.symbolic_reuses),
+            state: self.state.clone(),
+            symbolic_reported: self.state.core().map_or(0, |c| c.symbolic_reuses),
             budget: self.budget,
             refactor_requested: self.refactor_requested,
             report: self.report.clone(),
@@ -2042,6 +1912,21 @@ mod tests {
         }
     }
 
+    /// `lp` under the costs `c`. The constraints are unchanged, so a
+    /// reload of it is shape-identical: how a session takes a cost change.
+    fn with_costs(lp: &LinearProgram, c: &[f64]) -> LinearProgram {
+        let mut next = if lp.is_maximize() {
+            LinearProgram::maximize(c)
+        } else {
+            LinearProgram::minimize(c)
+        };
+        for i in 0..lp.num_constraints() {
+            let (entries, op, rhs) = lp.constraint_entries(i);
+            next.add_sparse_constraint(entries, op, rhs).unwrap();
+        }
+        next
+    }
+
     #[test]
     fn warm_objective_resolve_matches_cold() {
         let mut lp = LinearProgram::maximize(&[3.0, 5.0]);
@@ -2053,7 +1938,8 @@ mod tests {
             .unwrap();
         let mut session = RevisedSimplex::new().start(&lp).unwrap();
         session.solve().unwrap();
-        session.set_objective(&[5.0, 3.0]).unwrap();
+        let recosted = with_costs(&lp, &[5.0, 3.0]);
+        assert_eq!(session.reload(&recosted).unwrap(), ReloadKind::Warm);
         let (warm, report) = session.solve().unwrap();
         assert!(report.warm_start);
         // max 5x + 3y: x = 4 (first bound), y = 3 (third bound).
@@ -2091,7 +1977,7 @@ mod tests {
     }
 
     #[test]
-    fn simultaneous_rhs_and_objective_change_solves_cold_and_correct() {
+    fn simultaneous_rhs_and_objective_change_repairs_warm_and_correct() {
         let mut lp = LinearProgram::maximize(&[3.0, 5.0]);
         lp.add_constraint(&[1.0, 0.0], ConstraintOp::Le, 4.0)
             .unwrap();
@@ -2099,10 +1985,12 @@ mod tests {
             .unwrap();
         let mut session = RevisedSimplex::new().start(&lp).unwrap();
         session.solve().unwrap();
-        session.set_rhs(0, 2.0).unwrap();
-        session.set_objective(&[10.0, 1.0]).unwrap();
+        // Both moves in one shape-identical reload.
+        let mut moved = with_costs(&lp, &[10.0, 1.0]);
+        moved.set_rhs(0, 2.0).unwrap();
+        assert_eq!(session.reload(&moved).unwrap(), ReloadKind::Warm);
         let (solution, report) = session.solve().unwrap();
-        assert!(!report.warm_start);
+        assert!(report.warm_start);
         // max 10x + y: x = 2, y = 6.
         assert!((solution.objective() - 26.0).abs() < 1e-9);
         // And the session is warm again afterwards.
@@ -2159,7 +2047,7 @@ mod tests {
         assert_eq!(again.iterations, 0);
         assert_eq!(again.basis_updates, 0);
         // A different optimum means a different basic set.
-        session.set_objective(&[5.0, 3.0]).unwrap();
+        session.reload(&with_costs(&lp, &[5.0, 3.0])).unwrap();
         let (_, moved) = session.solve().unwrap();
         assert_ne!(moved.basis_signature, first.basis_signature);
     }
@@ -2273,8 +2161,9 @@ mod tests {
 
     #[test]
     fn random_battery_reload_matches_cold_resolve() {
-        // Random same-pattern coefficient drifts: warm reload must track
-        // independent cold solves on feasible instances.
+        // Random same-pattern coefficient drifts, each followed by an
+        // objective-only drift: warm reload must track independent cold
+        // solves on feasible instances.
         let mut seed = 0xA076_1D64_78BD_642Fu64;
         let mut next = move || {
             seed ^= seed << 13;
@@ -2307,23 +2196,27 @@ mod tests {
                         .add_constraint(&drow, ConstraintOp::Le, rhs)
                         .unwrap();
                 }
-                assert_eq!(
-                    session.reload(&drifted).unwrap(),
-                    ReloadKind::Warm,
-                    "trial {trial} step {step}"
-                );
-                let (warm, _) = session.solve().unwrap();
-                let cold = solve(&drifted).unwrap();
-                assert!(
-                    (warm.objective() - cold.objective()).abs() < 1e-7,
-                    "trial {trial} step {step}: warm {} vs cold {}",
-                    warm.objective(),
-                    cold.objective()
-                );
-                assert!(
-                    drifted.max_violation(warm.x()) < 1e-7,
-                    "trial {trial} step {step}"
-                );
+                let recost: Vec<f64> = drift_c.iter().map(|&v| v + 0.5 * next()).collect();
+                let recosted = with_costs(&drifted, &recost);
+                for program in [&drifted, &recosted] {
+                    assert_eq!(
+                        session.reload(program).unwrap(),
+                        ReloadKind::Warm,
+                        "trial {trial} step {step}"
+                    );
+                    let (warm, _) = session.solve().unwrap();
+                    let cold = solve(program).unwrap();
+                    assert!(
+                        (warm.objective() - cold.objective()).abs() < 1e-7,
+                        "trial {trial} step {step}: warm {} vs cold {}",
+                        warm.objective(),
+                        cold.objective()
+                    );
+                    assert!(
+                        program.max_violation(warm.x()) < 1e-7,
+                        "trial {trial} step {step}"
+                    );
+                }
             }
         }
     }
@@ -2440,14 +2333,15 @@ mod tests {
     #[test]
     fn refactorization_budget_trips_under_tiny_interval() {
         let (lp, _) = furniture_pair();
-        let err = RevisedSimplex::new()
+        let mut session = RevisedSimplex::new()
             .refactor_interval(1)
-            .with_budget(SolveBudget {
-                max_pivots: None,
-                max_refactorizations: Some(0),
-            })
-            .solve(&lp)
-            .unwrap_err();
+            .start(&lp)
+            .unwrap();
+        session.set_budget(SolveBudget {
+            max_pivots: None,
+            max_refactorizations: Some(0),
+        });
+        let err = session.solve().unwrap_err();
         assert!(matches!(err, LpError::BudgetExhausted { .. }), "{err:?}");
     }
 

@@ -6,9 +6,10 @@
 //! differ in a *single right-hand side*. A [`SolveSession`] makes that
 //! workflow first-class: [`LpSolver::start`](crate::LpSolver::start) loads
 //! the program into a session that owns the standard-form data, the
-//! session's [`set_rhs`](SolveSession::set_rhs) /
-//! [`set_objective`](SolveSession::set_objective) retarget the loaded
-//! model in place, and [`solve`](SolveSession::solve) re-optimizes —
+//! session's [`set_rhs`](SolveSession::set_rhs) retargets one bound in
+//! place, [`reload`](SolveSession::reload) swaps in a drifted program
+//! (new coefficients, costs or bounds), and
+//! [`solve`](SolveSession::solve) re-optimizes —
 //! warm-starting from the previous optimal basis when the engine supports
 //! it ([`RevisedSimplex`](crate::RevisedSimplex) does; the dense engines
 //! fall back to correct cold re-solves). Every solve returns a
@@ -343,16 +344,6 @@ pub trait SolveSession: std::fmt::Debug + Send {
     /// * [`LpError::NonFiniteInput`] when `rhs` is NaN/∞.
     fn set_rhs(&mut self, row: usize, rhs: f64) -> Result<(), LpError>;
 
-    /// Replaces the objective coefficient vector (same length and
-    /// orientation as the loaded program).
-    ///
-    /// # Errors
-    ///
-    /// * [`LpError::BadConstraint`] when the length differs from the
-    ///   program's variable count.
-    /// * [`LpError::NonFiniteInput`] when any coefficient is NaN/∞.
-    fn set_objective(&mut self, c: &[f64]) -> Result<(), LpError>;
-
     /// Replaces the loaded program wholesale — coefficients, objective,
     /// right-hand sides, everything — keeping warm-start state when the
     /// new program is **shape-identical** to the loaded one (same
@@ -360,14 +351,15 @@ pub trait SolveSession: std::fmt::Debug + Send {
     /// relational operator *and* sparsity pattern per row).
     ///
     /// This is the parametric mutation one level up from
-    /// [`set_rhs`](Self::set_rhs)/[`set_objective`](Self::set_objective):
-    /// where those move a single number, `reload` re-provisions the whole
-    /// model — the re-estimated occupation LP of an online adaptation
-    /// epoch, say — without re-running [`LpSolver::start`]. Warm-capable
+    /// [`set_rhs`](Self::set_rhs): where that moves a single number,
+    /// `reload` re-provisions the whole model — the re-estimated
+    /// occupation LP of an online adaptation epoch, say, or the same
+    /// program under new costs — without re-running
+    /// [`LpSolver::start`]. Warm-capable
     /// engines ([`RevisedSimplex`](crate::RevisedSimplex)) keep their
     /// optimal basis across a shape-identical reload, refactorize the new
     /// coefficients through the retained sparse-LU path, and repair
-    /// primal/dual feasibility on the next [`solve`](Self::solve);
+    /// feasibility and optimality on the next [`solve`](Self::solve);
     /// engines without warm machinery simply swap the program. The
     /// returned [`ReloadKind`] says which happened.
     ///
@@ -525,11 +517,6 @@ impl<S: LpSolver + Clone + Send + 'static> SolveSession for ColdSession<S> {
         Ok(())
     }
 
-    fn set_objective(&mut self, c: &[f64]) -> Result<(), LpError> {
-        self.lp.set_objective(c)?;
-        Ok(())
-    }
-
     fn reload(&mut self, lp: &LinearProgram) -> Result<ReloadKind, LpError> {
         lp.validate()?;
         self.lp = lp.clone();
@@ -607,10 +594,23 @@ mod tests {
         }
     }
 
+    /// The furniture program under the costs `c`.
+    fn furniture_costing(c: &[f64]) -> LinearProgram {
+        let base = furniture();
+        let mut lp = LinearProgram::maximize(c);
+        for i in 0..base.num_constraints() {
+            let (entries, op, rhs) = base.constraint_entries(i);
+            lp.add_sparse_constraint(entries, op, rhs).unwrap();
+        }
+        lp
+    }
+
     #[test]
-    fn cold_session_objective_mutation() {
+    fn cold_session_objective_reload() {
         let mut session = Simplex::new().start(&furniture()).unwrap();
-        session.set_objective(&[5.0, 3.0]).unwrap();
+        session.solve().unwrap();
+        let kind = session.reload(&furniture_costing(&[5.0, 3.0])).unwrap();
+        assert_eq!(kind, ReloadKind::Cold);
         let (solution, _) = session.solve().unwrap();
         // max 5x + 3y under the same constraints: x = 4, y = 3.
         assert!((solution.objective() - 29.0).abs() < 1e-9);
@@ -702,11 +702,16 @@ mod tests {
             session.set_rhs(0, f64::NAN).unwrap_err(),
             LpError::NonFiniteInput
         );
-        assert!(session.set_objective(&[1.0]).is_err());
+        // A non-finite objective is refused by the reload's validation,
+        // and the loaded program survives.
         assert_eq!(
-            session.set_objective(&[1.0, f64::INFINITY]).unwrap_err(),
+            session
+                .reload(&furniture_costing(&[1.0, f64::INFINITY]))
+                .unwrap_err(),
             LpError::NonFiniteInput
         );
+        let (solution, _) = session.solve().unwrap();
+        assert!((solution.objective() - 36.0).abs() < 1e-9);
     }
 
     #[test]

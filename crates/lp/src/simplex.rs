@@ -4,23 +4,10 @@ use crate::problem::ConstraintOp;
 use crate::session::{ColdSession, InfeasibilityCertificate};
 use crate::{LinearProgram, LpError, LpSolution, LpSolver, SolveSession};
 
-/// Pivot-column selection rule for the dense-tableau simplex method.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PivotRule {
-    /// Choose the column maximizing `rc²/(1 + ‖B⁻¹aⱼ‖²)` — exact
-    /// steepest-edge scoring, read straight off the tableau columns. On
-    /// the heavily degenerate occupation-measure LPs this cuts pivot
-    /// counts by orders of magnitude versus Dantzig, which is why it is
-    /// the default. Falls back to Bland's rule on a prolonged stall.
-    #[default]
-    SteepestEdge,
-    /// Choose the most negative reduced cost, falling back to Bland's
-    /// rule automatically when the iteration count suggests cycling.
-    DantzigWithBlandFallback,
-    /// Always use Bland's rule (smallest index with negative reduced
-    /// cost). Guaranteed to terminate, but slower.
-    Bland,
-}
+/// Pricing and ratio-test tolerance of the tableau.
+const TOLERANCE: f64 = 1e-9;
+/// Phase-1 artificial sum above which the program is infeasible.
+const PHASE1_TOLERANCE: f64 = 1e-7;
 
 /// Two-phase primal simplex method on a dense tableau.
 ///
@@ -31,10 +18,11 @@ pub enum PivotRule {
 /// routinely, and which used to send this engine into 10⁵-pivot crawls
 /// past ~50 composed states — is handled by four cooperating mechanisms:
 ///
-/// * **Steepest-edge pricing** ([`PivotRule::SteepestEdge`], the
-///   default): scores are exact because the tableau body *is* `B⁻¹A`,
-///   and the rule cuts pivot counts on degenerate LPs by orders of
-///   magnitude versus Dantzig.
+/// * **Steepest-edge pricing**: the entering column maximizes
+///   `rc²/(1 + ‖B⁻¹aⱼ‖²)`. Scores are exact because the tableau body
+///   *is* `B⁻¹A`, and the rule cuts pivot counts on degenerate LPs by
+///   orders of magnitude versus Dantzig. A prolonged stall switches to
+///   Bland's rule, which guarantees termination.
 /// * **Largest-pivot ratio-test tie-break**: among the (routinely huge)
 ///   families of tied degenerate rows, the leaving row with the largest
 ///   pivot element is chosen, so the basis never absorbs a
@@ -71,9 +59,7 @@ pub enum PivotRule {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Simplex {
-    pivot_rule: PivotRule,
     max_iterations: usize,
-    tolerance: f64,
 }
 
 impl Default for Simplex {
@@ -87,27 +73,13 @@ impl Simplex {
     /// Bland fallback, tolerance `1e-9`, generous iteration limit).
     pub fn new() -> Self {
         Simplex {
-            pivot_rule: PivotRule::default(),
             max_iterations: 50_000,
-            tolerance: 1e-9,
         }
-    }
-
-    /// Sets the pivot rule.
-    pub fn pivot_rule(mut self, rule: PivotRule) -> Self {
-        self.pivot_rule = rule;
-        self
     }
 
     /// Sets the iteration limit (per phase).
     pub fn max_iterations(mut self, limit: usize) -> Self {
         self.max_iterations = limit;
-        self
-    }
-
-    /// Sets the numerical tolerance used for pricing and ratio tests.
-    pub fn tolerance(mut self, tol: f64) -> Self {
-        self.tolerance = tol;
         self
     }
 }
@@ -127,18 +99,18 @@ impl LpSolver for Simplex {
 
     fn solve(&self, lp: &LinearProgram) -> Result<LpSolution, LpError> {
         lp.validate()?;
-        let mut t = Tableau::build(lp, self.tolerance)?;
+        let mut t = Tableau::build(lp, TOLERANCE)?;
         t.perturb_costs();
         let mut iterations = 0;
 
         if t.needs_phase1() {
-            iterations += t.optimize_phase1(self.pivot_rule, self.max_iterations)?;
-            if t.phase1_objective() > self.tolerance.max(1e-7) {
+            iterations += t.optimize_phase1(self.max_iterations)?;
+            if t.phase1_objective() > PHASE1_TOLERANCE {
                 return Err(LpError::Infeasible);
             }
             t.drop_artificials()?;
         }
-        match t.optimize_phase2(self.pivot_rule, self.max_iterations) {
+        match t.optimize_phase2(self.max_iterations) {
             Ok(n) => iterations += n,
             // A perturbed ray is only trusted if the exact costs confirm
             // it: positive jitter cannot create a descent ray that the
@@ -157,7 +129,7 @@ impl LpSolver for Simplex {
         t.restore_costs();
         for _ in 0..4 {
             t.refresh_from_basis();
-            let extra = t.optimize_phase2(self.pivot_rule, self.max_iterations)?;
+            let extra = t.optimize_phase2(self.max_iterations)?;
             iterations += extra;
             if extra == 0 {
                 break;
@@ -359,9 +331,9 @@ impl Tableau {
 
     /// Sets the objective row to the phase-1 objective (sum of artificials)
     /// expressed in terms of the current basis, then optimizes.
-    fn optimize_phase1(&mut self, rule: PivotRule, max_iter: usize) -> Result<usize, LpError> {
+    fn optimize_phase1(&mut self, max_iter: usize) -> Result<usize, LpError> {
         self.rebuild_phase1_obj_row();
-        self.run(rule, max_iter, self.total_cols(), true)
+        self.run(max_iter, self.total_cols(), true)
     }
 
     /// Writes the phase-1 objective row — reduced costs of the artificial
@@ -435,10 +407,10 @@ impl Tableau {
     }
 
     /// Sets the phase-2 objective row from the stored costs and optimizes.
-    fn optimize_phase2(&mut self, rule: PivotRule, max_iter: usize) -> Result<usize, LpError> {
+    fn optimize_phase2(&mut self, max_iter: usize) -> Result<usize, LpError> {
         debug_assert_eq!(self.num_artificial, 0);
         self.rebuild_phase2_obj_row();
-        self.run(rule, max_iter, self.num_structural, false)
+        self.run(max_iter, self.num_structural, false)
     }
 
     /// Writes the phase-2 objective row: reduced costs `c_j − c_B B⁻¹ A_j`
@@ -461,16 +433,10 @@ impl Tableau {
     }
 
     /// Core simplex loop over the first `num_cols` columns.
-    fn run(
-        &mut self,
-        rule: PivotRule,
-        max_iter: usize,
-        num_cols: usize,
-        phase1: bool,
-    ) -> Result<usize, LpError> {
+    fn run(&mut self, max_iter: usize, num_cols: usize, phase1: bool) -> Result<usize, LpError> {
         let obj_row = self.m;
         let rhs_col = self.total_cols();
-        let mut use_bland = rule == PivotRule::Bland;
+        let mut use_bland = false;
         // Switch to Bland if objective fails to improve for this many pivots.
         let stall_limit = 4 * (self.m + num_cols).max(64);
         let mut stall = 0usize;
@@ -513,7 +479,7 @@ impl Tableau {
                         break;
                     }
                 }
-            } else if rule == PivotRule::SteepestEdge {
+            } else {
                 // Score improving columns by rc²/(1 + ‖B⁻¹aⱼ‖²). The
                 // tableau body *is* B⁻¹A, so the norms are exact; the
                 // row-major accumulation keeps the scan cache-friendly.
@@ -533,15 +499,6 @@ impl Tableau {
                     let score = rc * rc / n2;
                     if score > best {
                         best = score;
-                        entering = Some(j);
-                    }
-                }
-            } else {
-                let mut best = -self.tol;
-                for j in 0..num_cols {
-                    let rc = self.data[obj_row][j];
-                    if rc < best {
-                        best = rc;
                         entering = Some(j);
                     }
                 }
@@ -594,7 +551,7 @@ impl Tableau {
 
             self.pivot(row, col);
 
-            // Stall detection for the Dantzig rule.
+            // Stall detection: a long run without progress switches to Bland.
             let obj = self.data[obj_row][rhs_col];
             if obj > last_obj + self.tol {
                 stall = 0;
@@ -869,10 +826,8 @@ mod tests {
             .unwrap();
         lp.add_constraint(&[0.0, 0.0, 1.0, 0.0], ConstraintOp::Le, 1.0)
             .unwrap();
-        for rule in [PivotRule::Bland, PivotRule::DantzigWithBlandFallback] {
-            let s = Simplex::new().pivot_rule(rule).solve(&lp).unwrap();
-            assert!((s.objective() - (-0.05)).abs() < 1e-9, "rule {rule:?}");
-        }
+        let s = Simplex::new().solve(&lp).unwrap();
+        assert!((s.objective() - (-0.05)).abs() < 1e-9);
     }
 
     #[test]
