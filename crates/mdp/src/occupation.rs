@@ -364,7 +364,9 @@ impl<'a> OccupationLp<'a> {
         for s in 0..n {
             for a in 0..m {
                 // Interior-point iterates can carry tiny negative dust.
-                frequencies[(s, a)] = horizon * lp_solution.x()[self.var_index(s, a)].max(0.0);
+                // Not `f64::max`, which may keep the sign of a -0.0.
+                let x = lp_solution.x()[self.var_index(s, a)];
+                frequencies[(s, a)] = if x > 0.0 { horizon * x } else { 0.0 };
             }
         }
         OccupationSolution {
