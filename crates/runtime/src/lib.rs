@@ -64,7 +64,7 @@
 pub mod fleet;
 pub mod service;
 
-pub use fleet::{DeviceHealth, FleetConfig, FleetController, FleetReport};
+pub use fleet::{DeviceHealth, FleetConfig, FleetReport};
 pub use service::{ClassId, DeviceId, FleetService, RestoreReport, SnapshotError};
 
 use dpm_core::{

@@ -1,13 +1,11 @@
-//! The fleet as a **long-running service**: device churn, incremental
-//! cluster maintenance and checkpoint/restore on top of
-//! [`FleetController`].
+//! The fleet as a **long-running service**: [`FleetService`], the one
+//! fleet type, with device churn, incremental cluster maintenance and
+//! checkpoint/restore. Its epoch phases live in [`crate::fleet`].
 //!
-//! [`FleetController`] is a batch object — its population is fixed when
-//! the classes are added, and all estimator/cluster state dies with the
-//! process. A production power manager faces a different lifecycle:
-//! devices arrive and leave while the manager runs, whole racks shift
-//! workload in correlated waves, and the process hosting the manager
-//! restarts. [`FleetService`] closes that gap:
+//! A production power manager faces a live lifecycle: devices arrive
+//! and leave while the manager runs, whole racks shift workload in
+//! correlated waves, and the process hosting the manager restarts.
+//! [`FleetService`] is built for it:
 //!
 //! * **churn** — [`FleetService::add_device`] /
 //!   [`FleetService::remove_device`] /
@@ -16,10 +14,9 @@
 //!   analysis as-is (nothing is re-prepared, no LP is solved on
 //!   arrival) and is homed into an existing cluster — or seeds a fresh
 //!   one via a forked session — once its estimator window fills. A
-//!   removal evicts the device from its cluster and garbage-collects
-//!   the cluster if it was the last member. Devices are addressed by
-//!   stable [`DeviceId`]s that survive removals and are never reused;
-//!   the controller's dense indices stay an implementation detail.
+//!   removal evicts the device from its cluster and drops the cluster
+//!   if it was the last member. Devices are addressed by stable
+//!   [`DeviceId`]s that survive removals and are never reused.
 //! * **incremental gauge** — with
 //!   [`FleetConfig::quiet_divergence`](crate::FleetConfig::quiet_divergence)
 //!   set, a device whose windowed counts did not materially move since
@@ -35,8 +32,9 @@
 //!   versioned binary snapshot; [`FleetService::restore`] rebuilds a
 //!   service from it, replaying at most **one warm solve per
 //!   previously-solved cluster** to rehydrate the LP sessions — no
-//!   cold-solve storm — after which the next epoch's [`FleetReport`]
-//!   is bit-identical to an uninterrupted run's. The format is
+//!   cold-solve storm — after which the fleet makes the same decisions
+//!   as an uninterrupted run (its reports are not promised
+//!   bit-identical; see [`FleetService::restore`]). The format is
 //!   described in [`snapshot`] and `docs/FLEET.md`.
 //!
 //! # Example
@@ -80,7 +78,7 @@ use std::sync::Arc;
 use dpm_core::{DpmError, ServiceRequester, SystemModel};
 use dpm_mdp::RandomizedPolicy;
 
-use crate::fleet::{DeviceHealth, FleetConfig, FleetController, FleetReport};
+use crate::fleet::{Cluster, Device, DeviceClass, DeviceHealth, FleetConfig, FleetReport};
 
 pub use snapshot::{RestoreReport, SnapshotError};
 
@@ -121,15 +119,22 @@ impl fmt::Display for ClassId {
     }
 }
 
-/// A long-running fleet: [`FleetController`] plus stable device
-/// identity, runtime churn and checkpoint/restore (see the
-/// [module docs](self)).
+/// The fleet: many devices adapted together, addressed by stable
+/// [`DeviceId`]s, with runtime churn and checkpoint/restore (see the
+/// [module docs](self) and the [`fleet`](crate::fleet) module for the
+/// epoch phases).
 #[derive(Debug)]
 pub struct FleetService {
-    pub(crate) controller: FleetController,
-    /// `ids[i]` is the id of the controller's device index `i`
-    /// (ascending — ids are allocated monotonically and removals
-    /// preserve order — so an id's index is found by binary search).
+    pub(crate) config: FleetConfig,
+    pub(crate) classes: Vec<DeviceClass>,
+    /// Managed devices in id order.
+    pub(crate) devices: Vec<Device>,
+    pub(crate) clusters: Vec<Cluster>,
+    /// Epochs run so far.
+    pub(crate) epoch: u64,
+    /// `ids[i]` is the id of `devices[i]` (ascending — ids are
+    /// allocated monotonically and removals preserve order — so an id's
+    /// index is found by binary search).
     pub(crate) ids: Vec<DeviceId>,
     /// Next id to allocate; never decreases.
     pub(crate) next_id: u64,
@@ -139,40 +144,91 @@ impl FleetService {
     /// An empty service with the given fleet configuration.
     pub fn new(config: FleetConfig) -> Self {
         FleetService {
-            controller: FleetController::new(config),
+            config,
+            classes: Vec::new(),
+            devices: Vec::new(),
+            clusters: Vec::new(),
+            epoch: 0,
             ids: Vec::new(),
             next_id: 0,
         }
     }
 
-    /// The controller's device index of `id` (`None` for an unknown or
-    /// retired id).
+    /// The device index of `id` (`None` for an unknown or retired id).
     fn position(&self, id: DeviceId) -> Option<usize> {
         self.ids.binary_search(&id).ok()
     }
 
-    /// Registers a device class at runtime — the class problem is
-    /// prepared and solved once (the shared symbolic LU analysis and
-    /// base policy every future member starts from), no devices are
-    /// created.
+    /// The device index of every entry of an epoch's feed, refusing an
+    /// unknown or retired id and an id listed twice.
+    fn positions<T>(&self, feed: &[(DeviceId, T)]) -> Result<Vec<usize>, DpmError> {
+        let mut seen = vec![false; self.ids.len()];
+        feed.iter()
+            .map(|(id, _)| {
+                let bad = |why: &str| DpmError::BadConfiguration {
+                    reason: format!("the epoch feed lists {id}, which is {why}"),
+                };
+                let d = self
+                    .position(*id)
+                    .ok_or_else(|| bad("unknown or removed"))?;
+                if std::mem::replace(&mut seen[d], true) {
+                    return Err(bad("listed twice"));
+                }
+                Ok(d)
+            })
+            .collect()
+    }
+
+    /// Registers a device class at runtime: the class problem is
+    /// prepared and solved once on `system`. That solution is every
+    /// future member's starting policy, and its session is the base
+    /// every cluster of the class [forks](dpm_core::PreparedOptimization::fork)
+    /// — one symbolic LU analysis per class, however many clusters
+    /// form. No devices are created.
     ///
     /// # Errors
     ///
-    /// Same validation as [`FleetController::add_class`].
+    /// The same validation as
+    /// [`AdaptiveController::new`](crate::AdaptiveController::new): the
+    /// system's SR state count must be `2^memory`, the configured
+    /// problem must be feasible on the given model, and estimator/LP
+    /// construction failures propagate.
     pub fn register_class(&mut self, system: &SystemModel) -> Result<ClassId, DpmError> {
-        self.controller.add_class(system, 0).map(ClassId)
+        self.config.base.check_system(system)?;
+        let mut base = self.config.base.prepare(system)?;
+        let base_policy = Arc::new(base.solve()?.policy().clone());
+        self.classes.push(DeviceClass {
+            provider: system.provider().clone(),
+            queue: *system.queue(),
+            base,
+            base_policy,
+        });
+        Ok(ClassId(self.classes.len() - 1))
     }
 
     /// Adds one device of `class` to the live fleet and returns its
-    /// stable id. Reuses the class's prepared base session — nothing is
-    /// re-prepared and no LP is solved (see
-    /// [`FleetController::add_device`]).
+    /// stable id. The class's prepared base session and symbolic LU
+    /// analysis are reused as-is: nothing is re-prepared and no LP is
+    /// solved. The device starts on the class's base policy with an
+    /// empty estimator and joins (or founds) a cluster once its window
+    /// fills and fits.
     ///
     /// # Errors
     ///
-    /// [`DpmError::BadConfiguration`] for an unknown class.
+    /// [`DpmError::BadConfiguration`] for an unknown class; estimator
+    /// construction failures propagate.
     pub fn add_device(&mut self, class: ClassId) -> Result<DeviceId, DpmError> {
-        self.controller.add_device(class.0)?;
+        let Some(device_class) = self.classes.get(class.0) else {
+            return Err(DpmError::BadConfiguration {
+                reason: format!(
+                    "the fleet has {} classes, none is {class}",
+                    self.classes.len()
+                ),
+            });
+        };
+        let policy = Arc::clone(&device_class.base_policy);
+        let estimator = self.config.base.estimator()?;
+        self.devices.push(Device::new(class.0, estimator, policy));
         let id = DeviceId(self.next_id);
         self.next_id += 1;
         self.ids.push(id);
@@ -180,58 +236,61 @@ impl FleetService {
     }
 
     /// Removes a device from the live fleet, evicting it from its
-    /// cluster (the cluster is garbage-collected if this was its last
-    /// member; see [`FleetController::remove_device`]). The id is
-    /// retired — re-adding the device later yields a fresh id and this
-    /// one is rejected forever after.
+    /// cluster. A cluster left empty is dropped with its forked session;
+    /// the class base session is untouched, so nothing is ever
+    /// re-prepared. A cluster whose representative was removed keeps
+    /// serving its policy and is re-represented by its lowest remaining
+    /// member at the next epoch. The id is retired — re-adding the
+    /// device later yields a fresh id and this one is rejected forever
+    /// after.
     ///
     /// # Errors
     ///
     /// [`DpmError::BadConfiguration`] for an unknown or retired id.
     pub fn remove_device(&mut self, id: DeviceId) -> Result<(), DpmError> {
-        let Some(idx) = self.position(id) else {
+        let Some(d) = self.position(id) else {
             return Err(DpmError::BadConfiguration {
                 reason: format!("{id} is unknown or already removed"),
             });
         };
-        self.controller.remove_device(idx)?;
-        self.ids.remove(idx);
+        self.evict(d);
+        self.devices.remove(d);
+        self.ids.remove(d);
+        // Device indices above the removed one shift down.
+        for m in self.clusters.iter_mut().flat_map(|c| c.members.iter_mut()) {
+            if *m > d {
+                *m -= 1;
+            }
+        }
         Ok(())
     }
 
     /// One adaptation epoch over the live fleet. `arrivals` pairs
     /// device ids with their 0/1 request streams; devices not listed
     /// observe an empty stream this epoch (their estimators idle at
-    /// their current window). Delegates to
-    /// [`FleetController::run_epoch`] — same five phases, same
-    /// bit-identical-for-any-worker-count guarantee.
+    /// their current window). Each device is fed and re-fitted, the
+    /// clusters are maintained, the clusters whose representative moved
+    /// past the event gate re-solve, and each solved policy is shared
+    /// across its cluster (see the [`fleet`](crate::fleet) module). The
+    /// report and every observable state are bit-identical for any
+    /// worker count.
     ///
     /// # Errors
     ///
     /// [`DpmError::BadConfiguration`] for an unknown/retired id or a
-    /// duplicate entry; per-cluster solve failures stay local exactly
-    /// as in [`FleetController::run_epoch`].
+    /// duplicate entry; the fleet is then untouched. Per-cluster solve
+    /// failures do *not* fail the epoch: the cluster keeps its previous
+    /// policy and the failure is counted in [`FleetReport::infeasible`]
+    /// / [`FleetReport::errors`].
     pub fn run_epoch(
         &mut self,
         arrivals: &[(DeviceId, Vec<u32>)],
     ) -> Result<FleetReport, DpmError> {
-        let mut dense: Vec<&[u32]> = vec![&[]; self.ids.len()];
-        let mut seen = vec![false; self.ids.len()];
-        for (id, stream) in arrivals {
-            let Some(idx) = self.position(*id) else {
-                return Err(DpmError::BadConfiguration {
-                    reason: format!("epoch arrivals address {id}, which is unknown or removed"),
-                });
-            };
-            if seen[idx] {
-                return Err(DpmError::BadConfiguration {
-                    reason: format!("epoch arrivals list {id} twice"),
-                });
-            }
-            seen[idx] = true;
-            dense[idx] = stream;
+        let mut streams: Vec<&[u32]> = vec![&[]; self.devices.len()];
+        for (d, (_, stream)) in self.positions(arrivals)?.into_iter().zip(arrivals) {
+            streams[d] = stream;
         }
-        self.controller.run_epoch(&dense)
+        self.step(&streams)
     }
 
     /// One adaptation epoch fed with **raw telemetry** instead of
@@ -242,41 +301,37 @@ impl FleetService {
     /// screening (NaN, ±∞, negative or non-integral counts) takes a
     /// strike on the health-state machine and idles this epoch — its
     /// poisoned data never reaches an estimator window. Devices with
-    /// clean streams run the ordinary [`Self::run_epoch`].
+    /// clean streams run as in [`Self::run_epoch`].
     ///
     /// # Errors
     ///
     /// [`DpmError::BadConfiguration`] for an unknown/retired id or a
-    /// duplicate entry; a *rejected stream* is not an error — rejection
-    /// is the containment working.
+    /// duplicate entry, checked before any stream is screened, so a
+    /// refused call strikes no device. A *rejected stream* is not an
+    /// error — rejection is the containment working.
     pub fn run_epoch_telemetry(
         &mut self,
         telemetry: &[(DeviceId, Vec<f64>)],
     ) -> Result<FleetReport, DpmError> {
-        let mut clean = Vec::with_capacity(telemetry.len());
-        let mut rejected = Vec::new();
-        for (id, raw) in telemetry {
-            let Some(idx) = self.position(*id) else {
-                return Err(DpmError::BadConfiguration {
-                    reason: format!("epoch telemetry addresses {id}, which is unknown or removed"),
-                });
-            };
-            match dpm_trace::screen_arrivals(raw) {
-                Ok(bits) => clean.push((*id, bits)),
-                Err(_) => rejected.push(idx),
+        let positions = self.positions(telemetry)?;
+        let screened: Vec<_> = telemetry
+            .iter()
+            .map(|(_, raw)| dpm_trace::screen_arrivals(raw).ok())
+            .collect();
+        let mut streams: Vec<&[u32]> = vec![&[]; self.devices.len()];
+        for (d, bits) in positions.into_iter().zip(&screened) {
+            match bits {
+                Some(bits) => streams[d] = bits,
+                None => self.devices[d].strike_pending = true,
             }
         }
-        for idx in rejected {
-            self.controller.strike(idx);
-        }
-        self.run_epoch(&clean)
+        self.step(&streams)
     }
 
     /// The containment state of `id` (`None` for an unknown or retired
     /// id).
     pub fn health_of(&self, id: DeviceId) -> Option<DeviceHealth> {
-        let idx = self.position(id)?;
-        Some(self.controller.device_health(idx))
+        Some(self.devices[self.position(id)?].health)
     }
 
     /// Devices currently in the fleet.
@@ -286,21 +341,20 @@ impl FleetService {
 
     /// Clusters currently alive.
     pub fn clusters(&self) -> usize {
-        self.controller.clusters()
+        self.clusters.len()
     }
 
     /// Registered device classes.
     pub fn classes(&self) -> usize {
-        self.controller.classes.len()
+        self.classes.len()
     }
 
     /// Epochs run so far (== the next report's `epoch` index).
     pub fn epoch(&self) -> u64 {
-        self.controller.epoch
+        self.epoch
     }
 
-    /// The ids of the managed devices, in the controller's device
-    /// order (ascending by id).
+    /// The ids of the managed devices, ascending.
     pub fn device_ids(&self) -> &[DeviceId] {
         &self.ids
     }
@@ -310,31 +364,23 @@ impl FleetService {
         self.position(id).is_some()
     }
 
-    /// The policy currently assigned to `id` (`None` for an unknown or
-    /// retired id).
+    /// The policy currently assigned to `id` (shared by every member of
+    /// its cluster; `None` for an unknown or retired id).
     pub fn policy(&self, id: DeviceId) -> Option<&Arc<RandomizedPolicy>> {
-        let idx = self.position(id)?;
-        Some(self.controller.device_policy(idx))
+        Some(&self.devices[self.position(id)?].policy)
     }
 
     /// The cluster `id` currently belongs to (`None` for an unknown or
     /// retired id, or while the device's estimator is warming up).
     pub fn cluster_of(&self, id: DeviceId) -> Option<usize> {
-        let idx = self.position(id)?;
-        self.controller.device_cluster(idx)
+        self.devices[self.position(id)?].cluster
     }
 
     /// The latest fitted model of `id` (`None` for an unknown or
-    /// retired id, or before the first fit).
+    /// retired id, or before the first fit) — what a solve-per-device
+    /// deployment would solve for.
     pub fn fit_of(&self, id: DeviceId) -> Option<&ServiceRequester> {
-        let idx = self.position(id)?;
-        self.controller.device_fit(idx)
-    }
-
-    /// Read-only access to the wrapped controller (per-epoch history,
-    /// aggregate counters, dense-index accessors).
-    pub fn controller(&self) -> &FleetController {
-        &self.controller
+        self.devices[self.position(id)?].fit.as_ref()
     }
 
     /// Serializes the service's full adaptive state — estimator
@@ -359,12 +405,12 @@ impl FleetService {
     /// sessions are rehydrated by forking each class's base session
     /// and replaying at most one warm solve per previously-solved
     /// cluster — no cold-solve storm; the replay cost is returned in
-    /// the [`RestoreReport`]. After a restore the next epoch's
-    /// [`FleetReport`] is bit-identical to the uninterrupted run's.
-    ///
-    /// The per-epoch [`FleetController::history`] is not part of the
-    /// snapshot: a restored service starts with an empty history while
-    /// its epoch counter continues from the checkpoint.
+    /// the [`RestoreReport`]. The restored fleet makes the same
+    /// decisions as the uninterrupted one, but its reports are not
+    /// promised bit-identical: a replayed session's factorization
+    /// history differs from the original's, so
+    /// [`FleetReport::symbolic_reuses`] may differ by one and
+    /// [`FleetReport::mean_power`] in its last bits.
     ///
     /// # Errors
     ///

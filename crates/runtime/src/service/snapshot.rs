@@ -52,19 +52,19 @@
 //! round trip. LP sessions are **not** serialized: restore rehydrates
 //! each cluster by forking its class's base session and replaying one
 //! warm solve of the last-solved model (clusters that never solved just
-//! fork). The per-epoch report history is not part of the snapshot.
+//! fork).
 
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::sync::Arc;
 
-use dpm_core::{DpmError, ServiceRequester, SystemModel};
+use dpm_core::{DpmError, ServiceRequester};
 use dpm_lp::ReloadKind;
 use dpm_markov::StochasticMatrix;
 use dpm_mdp::RandomizedPolicy;
 use dpm_trace::EstimatorState;
 
-use crate::fleet::{Cluster, Device, DeviceHealth, FitOutcome};
+use crate::fleet::{Cluster, Device, DeviceHealth};
 use crate::service::{DeviceId, FleetService};
 
 /// Magic bytes opening every snapshot.
@@ -491,27 +491,25 @@ fn write_snapshot_versioned(
     writer: &mut impl Write,
     version: u32,
 ) -> Result<(), SnapshotError> {
-    let ctl = &service.controller;
-
     // Policy table, deduplicated by allocation so sharing survives.
     let mut table: Vec<Arc<RandomizedPolicy>> = Vec::new();
     let mut by_ptr: BTreeMap<usize, u64> = BTreeMap::new();
-    let device_policy: Vec<u64> = ctl
+    let device_policy: Vec<u64> = service
         .devices
         .iter()
         .map(|d| intern(&mut table, &mut by_ptr, &d.policy))
         .collect();
-    let cluster_policy: Vec<u64> = ctl
+    let cluster_policy: Vec<u64> = service
         .clusters
         .iter()
         .map(|c| intern(&mut table, &mut by_ptr, &c.policy))
         .collect();
 
     let mut meta = Vec::new();
-    put_u64(&mut meta, ctl.epoch);
+    put_u64(&mut meta, service.epoch);
     put_u64(&mut meta, service.next_id);
-    put_u64(&mut meta, ctl.classes.len() as u64);
-    for class in &ctl.classes {
+    put_u64(&mut meta, service.classes.len() as u64);
+    for class in &service.classes {
         put_u64(&mut meta, class.base_policy.num_states() as u64);
         put_u64(&mut meta, class.base_policy.num_actions() as u64);
     }
@@ -529,8 +527,8 @@ fn write_snapshot_versioned(
     }
 
     let mut devices = Vec::new();
-    put_u64(&mut devices, ctl.devices.len() as u64);
-    for (i, device) in ctl.devices.iter().enumerate() {
+    put_u64(&mut devices, service.devices.len() as u64);
+    for (i, device) in service.devices.iter().enumerate() {
         put_u64(&mut devices, service.ids[i].0);
         put_u64(&mut devices, device.class as u64);
         put_u64(
@@ -576,8 +574,8 @@ fn write_snapshot_versioned(
     }
 
     let mut clusters = Vec::new();
-    put_u64(&mut clusters, ctl.clusters.len() as u64);
-    for (c, cluster) in ctl.clusters.iter().enumerate() {
+    put_u64(&mut clusters, service.clusters.len() as u64);
+    for (c, cluster) in service.clusters.iter().enumerate() {
         put_u64(&mut clusters, cluster.class as u64);
         put_u64(&mut clusters, cluster.members.len() as u64);
         for &m in &cluster.members {
@@ -742,14 +740,13 @@ pub(crate) fn read_snapshot(
     let epoch = cur.u64("epoch")?;
     let next_id = cur.u64("next id")?;
     let nclasses = cur.len("class count", 16)?;
-    let ctl = &service.controller;
-    if nclasses != ctl.classes.len() {
+    if nclasses != service.classes.len() {
         return Err(mismatch_err(format!(
             "snapshot has {nclasses} classes, this service has {}",
-            ctl.classes.len()
+            service.classes.len()
         )));
     }
-    for (c, class) in ctl.classes.iter().enumerate() {
+    for (c, class) in service.classes.iter().enumerate() {
         let states = cur.u64("class fingerprint")?;
         let actions = cur.u64("class fingerprint")?;
         if states != class.base_policy.num_states() as u64
@@ -809,7 +806,7 @@ pub(crate) fn read_snapshot(
         ids.push(DeviceId(id));
         let class = usize::try_from(cur.u64("device class")?)
             .ok()
-            .filter(|&c| c < ctl.classes.len())
+            .filter(|&c| c < service.classes.len())
             .ok_or_else(|| mismatch_err(format!("device {d} references an unknown class")))?;
         let cluster_raw = cur.u64("device cluster")?;
         let cluster = if cluster_raw == NO_CLUSTER {
@@ -881,7 +878,7 @@ pub(crate) fn read_snapshot(
                 "device {d}'s fitted model and its estimator's last fit disagree"
             )));
         }
-        let mut estimator = ctl.config.base.estimator()?;
+        let mut estimator = service.config.base.estimator()?;
         estimator.import_state(EstimatorState {
             counts,
             state,
@@ -892,16 +889,12 @@ pub(crate) fn read_snapshot(
             counts_at_fit,
         })?;
         devices.push(Device {
-            class,
-            estimator,
             fit,
             cluster,
-            policy: Arc::clone(policy),
-            fit_outcome: FitOutcome::None,
             health,
             strikes,
             probation_left,
-            strike_pending: false,
+            ..Device::new(class, estimator, Arc::clone(policy))
         });
     }
     cur.finish("DEVICES")?;
@@ -924,7 +917,7 @@ pub(crate) fn read_snapshot(
     for c in 0..nclusters {
         let class = usize::try_from(cur.u64("cluster class")?)
             .ok()
-            .filter(|&k| k < ctl.classes.len())
+            .filter(|&k| k < service.classes.len())
             .ok_or_else(|| mismatch_err(format!("cluster {c} references an unknown class")))?;
         let nmembers = cur.len("cluster members", 8)?;
         if nmembers == 0 {
@@ -957,34 +950,29 @@ pub(crate) fn read_snapshot(
             (0, 0)
         };
 
-        let device_class = &ctl.classes[class];
-        let mut session = device_class.base.fork()?;
-        if let Some(solved) = last_solved.as_ref() {
-            let sr = sr_from_flat(solved, &rep_model)?;
-            let system =
-                SystemModel::compose(device_class.provider.clone(), sr, device_class.queue)?;
-            match session.update_model(system.chain())? {
-                ReloadKind::Warm => report.warm_reloads += 1,
-                ReloadKind::Cold => report.cold_reloads += 1,
+        let device_class = &service.classes[class];
+        let session = match last_solved.as_ref() {
+            None => device_class.base.fork()?,
+            Some(solved) => {
+                let (session, kind, solution) =
+                    device_class.rebuild(sr_from_flat(solved, &rep_model)?)?;
+                match kind {
+                    ReloadKind::Warm => report.warm_reloads += 1,
+                    ReloadKind::Cold => report.cold_reloads += 1,
+                }
+                report.replayed_solves += 1;
+                report.pivots += solution.solve_report().iterations;
+                session
             }
-            let solution = session.solve()?;
-            report.replayed_solves += 1;
-            report.pivots += solution.solve_report().iterations;
-        }
+        };
+        let policy = Arc::clone(policy);
         clusters.push(Cluster {
-            class,
-            members,
-            representative,
-            rep_model,
-            session,
             last_solved,
-            policy: Arc::clone(policy),
             power,
             since_solve,
-            needs_solve: false,
-            outcome: None,
             consecutive_holds,
             backoff_left,
+            ..Cluster::new(class, members, representative, rep_model, session, policy)
         });
     }
     cur.finish("CLUSTERS")?;
@@ -1023,11 +1011,9 @@ pub(crate) fn read_snapshot(
     }
 
     // Commit — everything validated, swap the state in.
-    let ctl = &mut service.controller;
-    ctl.devices = devices;
-    ctl.clusters = clusters;
-    ctl.epoch = epoch;
-    ctl.history = Vec::new();
+    service.devices = devices;
+    service.clusters = clusters;
+    service.epoch = epoch;
     service.ids = ids;
     service.next_id = next_id;
     Ok(report)
@@ -1159,11 +1145,11 @@ mod tests {
         assert_eq!(report.devices, 2);
         for d in 0..2 {
             assert_eq!(
-                target.controller.devices[d].health,
+                target.devices[d].health,
                 DeviceHealth::Healthy,
                 "v1 snapshots carry no health: devices default to Healthy"
             );
-            assert_eq!(target.controller.devices[d].strikes, 0);
+            assert_eq!(target.devices[d].strikes, 0);
         }
         let mut again = Vec::new();
         write_snapshot_versioned(&target, &mut again, 1).expect("v1 writes");

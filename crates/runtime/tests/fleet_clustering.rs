@@ -1,14 +1,14 @@
 //! The solve-per-cluster payoff at fleet scale: a heterogeneous fleet
 //! (disk, CPU and web-server classes) of 1026 devices split across two
-//! workload regimes, driven through `FleetController`, against the same
+//! workload regimes, driven through `FleetService`, against the same
 //! fleet solved one device at a time.
 //!
 //! Bit-identity across worker counts is covered by the unit test
 //! `fleet_results_are_identical_for_worker_counts_1_2_8`; CI also runs
-//! this suite under a single test thread through its `fleet` filter.
+//! this suite under a single test thread.
 
 use dpm_core::{PolicyOptimizer, ServiceRequester, SystemModel};
-use dpm_runtime::{AdaptiveConfig, FleetConfig, FleetController, FleetReport};
+use dpm_runtime::{AdaptiveConfig, FleetConfig, FleetReport, FleetService};
 use dpm_systems::{cpu, disk, web_server};
 use dpm_trace::WindowKind;
 
@@ -29,7 +29,7 @@ fn class_systems() -> Vec<SystemModel> {
     ]
 }
 
-fn build_fleet() -> FleetController {
+fn build_fleet() -> FleetService {
     let config = FleetConfig::new()
         .adaptive(
             AdaptiveConfig::new()
@@ -41,11 +41,12 @@ fn build_fleet() -> FleetController {
         .workers(1)
         .cluster_divergence(0.08)
         .resolve_divergence(0.02);
-    let mut fleet = FleetController::new(config);
+    let mut fleet = FleetService::new(config);
     for system in class_systems() {
-        fleet
-            .add_class(&system, DEVICES_PER_CLASS)
-            .expect("class is feasible");
+        let class = fleet.register_class(&system).expect("class is feasible");
+        for _ in 0..DEVICES_PER_CLASS {
+            fleet.add_device(class).expect("device adds");
+        }
     }
     fleet
 }
@@ -66,10 +67,20 @@ fn epoch_arrivals(devices: usize, epoch: usize) -> Vec<Vec<u32>> {
         .collect()
 }
 
-fn run_epochs(fleet: &mut FleetController, traces: &[Vec<Vec<u32>>]) -> Vec<FleetReport> {
+/// Runs one epoch per trace, device `d` fed the trace's stream `d`
+/// (ids are allocated in device order).
+fn run_epochs(fleet: &mut FleetService, traces: &[Vec<Vec<u32>>]) -> Vec<FleetReport> {
     traces
         .iter()
-        .map(|arrivals| fleet.run_epoch(arrivals).expect("epoch runs"))
+        .map(|streams| {
+            let arrivals: Vec<_> = fleet
+                .device_ids()
+                .iter()
+                .copied()
+                .zip(streams.clone())
+                .collect();
+            fleet.run_epoch(&arrivals).expect("epoch runs")
+        })
         .collect()
 }
 
@@ -86,8 +97,9 @@ fn per_device_baseline(traces: &[Vec<Vec<u32>>]) -> (usize, usize) {
             .prepare()
             .expect("prepares");
         base.solve().expect("base model is feasible");
-        for d in class * DEVICES_PER_CLASS..(class + 1) * DEVICES_PER_CLASS {
-            let Some(fit) = fleet.device_fit(d) else {
+        let ids = &fleet.device_ids()[class * DEVICES_PER_CLASS..(class + 1) * DEVICES_PER_CLASS];
+        for &id in ids {
+            let Some(fit) = fleet.fit_of(id) else {
                 continue;
             };
             let device_system =

@@ -128,13 +128,12 @@
 //! ```
 //!
 //! Fleet scale is one layer up: a
-//! [`FleetController`](runtime::FleetController) runs the same loop over
-//! many devices (sharded estimation, one LP solve per model cluster on
-//! forked sessions), and [`FleetService`](runtime::FleetService) keeps
-//! that fleet alive as a long-running service — device churn behind
+//! [`FleetService`](runtime::FleetService) runs the same loop over many
+//! devices (sharded estimation, one LP solve per model cluster on
+//! forked sessions) as a long-running service — device churn behind
 //! stable [`DeviceId`](runtime::DeviceId)s, quiet-epoch gauge skipping
 //! ([`FleetConfig::quiet_divergence`](runtime::FleetConfig::quiet_divergence)),
-//! and a bit-exact binary checkpoint/restore. See `docs/FLEET.md` and
+//! and a versioned binary checkpoint/restore. See `docs/FLEET.md` and
 //! the correlated rack-shift scenario in [`systems::racks`].
 
 #![forbid(unsafe_code)]
