@@ -108,7 +108,9 @@ impl std::fmt::Display for Termination {
 /// buy the cold retry a fresh allowance. A solve that needs no further
 /// pivots (the retained basis is already optimal) succeeds even at a
 /// zero budget. `None` fields are unlimited; [`SolveBudget::UNLIMITED`]
-/// (the default) never interferes.
+/// (the default) never interferes. The revised-simplex sessions check
+/// the ceilings before each pivot: a budget of `n` pivots performs at
+/// most `n`, and no pivot starts once `max_refactorizations` are spent.
 ///
 /// This is the fault-containment primitive of the adaptive runtime: a
 /// numerically wedged LP cannot stall an epoch — the solve stops at the
