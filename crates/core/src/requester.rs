@@ -43,21 +43,8 @@ impl ServiceRequester {
     /// [`DpmError::IncompleteModel`] when `requests.len()` differs from the
     /// number of chain states.
     pub fn new(transition: StochasticMatrix, requests: Vec<u32>) -> Result<Self, DpmError> {
-        if requests.len() != transition.num_states() {
-            return Err(DpmError::IncompleteModel {
-                reason: format!(
-                    "request table has {} entries for {} SR states",
-                    requests.len(),
-                    transition.num_states()
-                ),
-            });
-        }
-        let state_names = (0..requests.len()).map(|i| format!("r{i}")).collect();
-        Ok(ServiceRequester {
-            chain: MarkovChain::new(transition),
-            requests,
-            state_names,
-        })
+        let names = (0..requests.len()).map(|i| format!("r{i}")).collect();
+        Self::with_names(transition, requests, names)
     }
 
     /// Builds a requester with explicit state names.
@@ -75,9 +62,20 @@ impl ServiceRequester {
                 reason: format!("{} names for {} SR states", names.len(), requests.len()),
             });
         }
-        let mut sr = Self::new(transition, requests)?;
-        sr.state_names = names;
-        Ok(sr)
+        if requests.len() != transition.num_states() {
+            return Err(DpmError::IncompleteModel {
+                reason: format!(
+                    "request table has {} entries for {} SR states",
+                    requests.len(),
+                    transition.num_states()
+                ),
+            });
+        }
+        Ok(ServiceRequester {
+            chain: MarkovChain::new(transition),
+            requests,
+            state_names: names,
+        })
     }
 
     /// The canonical two-state idle/busy workload (Example 3.2): state 0
