@@ -67,12 +67,11 @@
 use std::sync::Arc;
 
 use dpm_core::{
-    DpmError, PolicySolution, PreparedOptimization, ServiceProvider, ServiceQueue,
-    ServiceRequester, SystemModel,
+    DpmError, PolicySolution, PreparedOptimization, ServiceProvider, ServiceQueue, SystemModel,
 };
 use dpm_lp::ReloadKind;
 use dpm_mdp::RandomizedPolicy;
-use dpm_trace::WindowedEstimator;
+use dpm_trace::{SrExtractor, WindowedEstimator};
 
 use crate::{climb_warm_rungs, AdaptiveConfig, FleetService, LadderRung};
 
@@ -298,14 +297,12 @@ pub(crate) enum FitOutcome {
     Skipped,
 }
 
-/// One managed device: its streaming estimator, its latest fit and its
-/// cluster assignment.
+/// One managed device: its streaming estimator (whose last fit is the
+/// device's fitted model) and its cluster assignment.
 #[derive(Debug)]
 pub(crate) struct Device {
     pub(crate) class: usize,
     pub(crate) estimator: WindowedEstimator,
-    /// Latest fitted SR model (sticky once fitted).
-    pub(crate) fit: Option<ServiceRequester>,
     pub(crate) cluster: Option<usize>,
     pub(crate) policy: Arc<RandomizedPolicy>,
     /// Per-epoch scratch: what phase 1 did to this device's gauge.
@@ -326,6 +323,8 @@ pub(crate) struct Device {
 pub(crate) struct DeviceClass {
     pub(crate) provider: ServiceProvider,
     pub(crate) queue: ServiceQueue,
+    /// Builds the requester of a fitted matrix for a solve.
+    pub(crate) extractor: SrExtractor,
     pub(crate) base: PreparedOptimization,
     pub(crate) base_policy: Arc<RandomizedPolicy>,
 }
@@ -355,10 +354,9 @@ pub(crate) struct Cluster {
     /// Member device indices, ascending — `members[0]` is the
     /// representative device.
     pub(crate) members: Vec<usize>,
-    /// The representative's flattened transition matrix.
+    /// The representative's flattened transition matrix (the model a
+    /// re-solve solves for).
     pub(crate) representative: Vec<f64>,
-    /// The representative's fitted model (what a re-solve solves for).
-    pub(crate) rep_model: ServiceRequester,
     pub(crate) session: PreparedOptimization,
     /// The flattened model of the last successful solve.
     pub(crate) last_solved: Option<Vec<f64>>,
@@ -405,10 +403,10 @@ fn feed_shard(shard: &mut [Device], streams: &[&[u32]], quiet: Option<f64>) {
             continue;
         }
         // The incremental gauge: a fitted device whose windowed counts
-        // stayed within the quiet gate of its last fit keeps fit,
-        // flattened gauge and cluster untouched — no refit, no gauge
-        // recomputation downstream.
-        if device.fit.is_some() {
+        // stayed within the quiet gate of its last fit keeps fit and
+        // cluster untouched — no refit, no gauge recomputation
+        // downstream.
+        if device.estimator.last_fit().is_some() {
             if let (Some(gate), Some(drift)) = (quiet, device.estimator.count_drift()) {
                 if drift <= gate {
                     device.fit_outcome = FitOutcome::Skipped;
@@ -416,8 +414,7 @@ fn feed_shard(shard: &mut [Device], streams: &[&[u32]], quiet: Option<f64>) {
                 }
             }
         }
-        if let Ok(sr) = device.estimator.fit() {
-            device.fit = Some(sr);
+        if device.estimator.fit().is_ok() {
             device.fit_outcome = FitOutcome::Refit;
         }
     }
@@ -433,7 +430,6 @@ impl Device {
         Device {
             class,
             estimator,
-            fit: None,
             cluster: None,
             policy,
             fit_outcome: FitOutcome::None,
@@ -446,13 +442,15 @@ impl Device {
 }
 
 impl DeviceClass {
-    /// A fresh fork of the class base session with `model` swapped in
-    /// and solved: a cold cluster rebuild, or a restore's replay.
+    /// A fresh fork of the class base session with the fitted `matrix`
+    /// swapped in and solved: a cold cluster rebuild, or a restore's
+    /// replay.
     pub(crate) fn rebuild(
         &self,
-        model: ServiceRequester,
+        matrix: &[f64],
     ) -> Result<(PreparedOptimization, ReloadKind, PolicySolution), DpmError> {
         let mut session = self.base.fork()?;
+        let model = self.extractor.model(matrix)?;
         let system = SystemModel::compose(self.provider.clone(), model, self.queue)?;
         let kind = session.update_model(system.chain())?;
         let solution = session.solve()?;
@@ -544,10 +542,8 @@ impl FleetService {
         // Refresh representatives: the lowest-indexed member speaks for
         // the cluster from here on.
         for cluster in &mut self.clusters {
-            let device = &self.devices[cluster.members[0]];
-            if let (Some(flat), Some(fit)) = (device.estimator.last_fit(), device.fit.as_ref()) {
-                cluster.representative = flat.to_vec();
-                cluster.rep_model = fit.clone();
+            if let Some(flat) = self.devices[cluster.members[0]].estimator.last_fit() {
+                flat.clone_into(&mut cluster.representative);
             }
         }
         // Re-home in device order; join the first fitting cluster in
@@ -558,7 +554,7 @@ impl FleetService {
             if device.cluster.is_some() || device.health == DeviceHealth::Quarantined {
                 continue;
             }
-            let (Some(flat), Some(fit)) = (device.estimator.last_fit(), device.fit.as_ref()) else {
+            let Some(flat) = device.estimator.last_fit() else {
                 continue;
             };
             let class = device.class;
@@ -578,7 +574,6 @@ impl FleetService {
                         class,
                         vec![d],
                         flat.to_vec(),
-                        fit.clone(),
                         base.base.fork()?,
                         Arc::clone(&base.base_policy),
                     );
@@ -622,18 +617,19 @@ impl FleetService {
     /// single shard runs on the calling thread.
     fn solve_clusters(&mut self) {
         let chunk = self.clusters.len().div_ceil(self.config.workers).max(1);
-        // Workers only need each class's provider and queue to recompose
-        // (the class's base *session* is not `Sync` and stays put).
-        let recompose: Vec<(&ServiceProvider, ServiceQueue)> = self
+        // Workers only need each class's provider, queue and extractor
+        // to recompose (the class's base *session* is not `Sync` and
+        // stays put).
+        let recompose: Vec<(&ServiceProvider, ServiceQueue, SrExtractor)> = self
             .classes
             .iter()
-            .map(|class| (&class.provider, class.queue))
+            .map(|class| (&class.provider, class.queue, class.extractor))
             .collect();
         let recompose = recompose.as_slice();
         let solve_shard = move |shard: &mut [Cluster]| {
             for cluster in shard.iter_mut().filter(|c| c.needs_solve) {
-                let (provider, queue) = recompose[cluster.class];
-                cluster.outcome = Some(cluster.resolve(provider, queue));
+                let (provider, queue, extractor) = recompose[cluster.class];
+                cluster.outcome = Some(cluster.resolve(provider, queue, extractor));
             }
         };
         if self.clusters.len() <= chunk {
@@ -662,7 +658,7 @@ impl FleetService {
             else {
                 continue;
             };
-            match self.classes[cluster.class].rebuild(cluster.rep_model.clone()) {
+            match self.classes[cluster.class].rebuild(&cluster.representative) {
                 Ok((session, _, solution)) => {
                     let report = solution.solve_report();
                     outcome.pivots += report.iterations;
@@ -692,7 +688,11 @@ impl FleetService {
         let mut report = FleetReport {
             epoch: self.epoch,
             devices: self.devices.len(),
-            fitted: self.devices.iter().filter(|d| d.fit.is_some()).count(),
+            fitted: self
+                .devices
+                .iter()
+                .filter(|d| d.estimator.last_fit().is_some())
+                .count(),
             gauge_refits: 0,
             gauge_skips: 0,
             clusters: self.clusters.len(),
@@ -840,7 +840,6 @@ impl Cluster {
         class: usize,
         members: Vec<usize>,
         representative: Vec<f64>,
-        rep_model: ServiceRequester,
         session: PreparedOptimization,
         policy: Arc<RandomizedPolicy>,
     ) -> Self {
@@ -848,7 +847,6 @@ impl Cluster {
             class,
             members,
             representative,
-            rep_model,
             session,
             last_solved: None,
             policy,
@@ -872,14 +870,19 @@ impl Cluster {
         self.backoff_left = 0;
     }
 
-    /// Recomposes the class system around the representative model,
-    /// swaps it into the cluster's forked session and re-solves,
-    /// climbing the warm rungs of the escalation ladder on failure
-    /// ([`climb_warm_rungs`]). A cluster that exhausts the warm rungs
+    /// Recomposes the class system around the representative's model
+    /// (built by `extractor`), swaps it into the cluster's forked
+    /// session and re-solves, climbing the warm rungs of the escalation
+    /// ladder on failure ([`climb_warm_rungs`]). A cluster that exhausts the warm rungs
     /// leaves [`LadderRung::ColdRebuild`] for the sequential cold pass.
     /// On success the cluster's shared policy is replaced; on any
     /// failure the previous policy stands.
-    fn resolve(&mut self, provider: &ServiceProvider, queue: ServiceQueue) -> SolveOutcome {
+    fn resolve(
+        &mut self,
+        provider: &ServiceProvider,
+        queue: ServiceQueue,
+        extractor: SrExtractor,
+    ) -> SolveOutcome {
         let mut outcome = SolveOutcome {
             reload: None,
             pivots: 0,
@@ -888,7 +891,10 @@ impl Cluster {
             error: None,
             rung: LadderRung::Direct,
         };
-        let system = match SystemModel::compose(provider.clone(), self.rep_model.clone(), queue) {
+        let system = extractor
+            .model(&self.representative)
+            .and_then(|model| SystemModel::compose(provider.clone(), model, queue));
+        let system = match system {
             Ok(system) => system,
             Err(e) => {
                 outcome.error = Some(e.to_string());
@@ -925,6 +931,7 @@ impl Cluster {
 mod tests {
     use super::*;
     use crate::{ClassId, DeviceId};
+    use dpm_core::ServiceRequester;
     use dpm_trace::WindowKind;
 
     const MEMORY: u32 = 1;

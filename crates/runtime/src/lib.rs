@@ -266,14 +266,18 @@ impl AdaptiveConfig {
         Ok(())
     }
 
-    /// An empty estimator: the configured memory and smoothing over the
-    /// configured window (default: sliding over 4 epochs).
+    /// The extractor of the configured memory and smoothing.
+    pub(crate) fn extractor(&self) -> Result<SrExtractor, DpmError> {
+        Ok(SrExtractor::try_new(self.memory)?.with_smoothing(self.smoothing))
+    }
+
+    /// An empty estimator: the configured extractor over the configured
+    /// window (default: sliding over 4 epochs).
     pub(crate) fn estimator(&self) -> Result<WindowedEstimator, DpmError> {
-        let extractor = SrExtractor::try_new(self.memory)?.with_smoothing(self.smoothing);
         let window = self.window.unwrap_or(WindowKind::Sliding(
             (4 * self.epoch_slices as usize).max(self.memory as usize + 1),
         ));
-        WindowedEstimator::new(extractor, window)
+        WindowedEstimator::new(self.extractor()?, window)
     }
 
     /// A fresh prepared session for `system` under the configured
@@ -598,7 +602,8 @@ impl AdaptiveController {
 
     /// One epoch boundary: fit, gate on drift, recompose, hot-swap.
     fn refresh(&mut self, slice: u64) {
-        let fitted = match self.estimator.fit() {
+        let extractor = *self.estimator.extractor();
+        let fitted = match self.estimator.fit().and_then(|fit| extractor.model(fit)) {
             Ok(sr) => sr,
             // Unreachable given the `is_ready` guard at the call site;
             // keep the previous policy if it ever happens.

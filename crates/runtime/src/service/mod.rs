@@ -200,6 +200,7 @@ impl FleetService {
         self.classes.push(DeviceClass {
             provider: system.provider().clone(),
             queue: *system.queue(),
+            extractor: self.config.base.extractor()?,
             base,
             base_policy,
         });
@@ -378,9 +379,11 @@ impl FleetService {
 
     /// The latest fitted model of `id` (`None` for an unknown or
     /// retired id, or before the first fit) — what a solve-per-device
-    /// deployment would solve for.
-    pub fn fit_of(&self, id: DeviceId) -> Option<&ServiceRequester> {
-        self.devices[self.position(id)?].fit.as_ref()
+    /// deployment would solve for. The fleet keeps each fit as its
+    /// estimator's matrix only; the requester is built on every call.
+    pub fn fit_of(&self, id: DeviceId) -> Option<ServiceRequester> {
+        let estimator = &self.devices[self.position(id)?].estimator;
+        estimator.extractor().model(estimator.last_fit()?).ok()
     }
 
     /// Serializes the service's full adaptive state — estimator

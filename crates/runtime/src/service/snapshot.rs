@@ -31,6 +31,7 @@
 //! | 1   | META     | epoch, next device id, per-class LP fingerprints |
 //! | 2   | POLICIES | deduplicated randomized-policy table             |
 //! | 3   | DEVICES  | per device: id, class, cluster, policy index, fitted SR, full estimator state; v2 adds health, strikes, probation |
+//! | 4   | CLUSTERS | per cluster: class, members, representative, representative SR, last-solved model, policy index, power, cooldown; v2 adds hold/backoff counters |
 //!
 //! The estimator state keeps two fields of a retired estimator mode: a
 //! window weight, written as `1.0` and ignored on read, and a
@@ -38,14 +39,22 @@
 //! consecutive fits could have written a present blend prior, and its
 //! devices cannot continue here, so reading one is a
 //! [`SnapshotError::Mismatch`].
-//! | 4   | CLUSTERS | per cluster: class, members, representative, last-solved model, policy index, power, cooldown; v2 adds hold/backoff counters |
+//!
+//! An SR record (a device's fitted SR, a cluster's representative SR)
+//! holds the state count, each state's requests and name, and the
+//! row-major transition probabilities. The service keeps no requester:
+//! the writer derives each record from the matrix beside it (the
+//! estimator's last fit, the cluster's representative), with requests
+//! and names from one k-memory template per checkpoint.
 //!
 //! Beyond framing, the reader refuses what a writer never emits:
-//! device ids that do not strictly ascend (a [`SnapshotError::Format`];
-//! the service looks ids up by binary search) and a device whose
-//! fitted SR is not its estimator's last fit, bit for bit (a
-//! [`SnapshotError::Mismatch`]; the clustering gauge reads the last
-//! fit).
+//! device ids or cluster member lists that do not strictly ascend (a
+//! [`SnapshotError::Format`]; the service looks ids up by binary
+//! search, and a member listed twice leaves a device pointing at a
+//! dropped cluster once the other leaves), and an SR record that is not
+//! byte for byte what the writer derives from the matrix beside it (a
+//! [`SnapshotError::Mismatch`]; the clustering gauge and the solves
+//! read the matrix).
 //!
 //! Policies are written once each and referenced by table index, so the
 //! `Arc` sharing between a cluster and its member devices survives the
@@ -58,9 +67,8 @@ use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::sync::Arc;
 
-use dpm_core::{DpmError, ServiceRequester};
+use dpm_core::DpmError;
 use dpm_lp::ReloadKind;
-use dpm_markov::StochasticMatrix;
 use dpm_mdp::RandomizedPolicy;
 use dpm_trace::EstimatorState;
 
@@ -280,16 +288,6 @@ fn put_f64s(buf: &mut Vec<u8>, vs: &[f64]) {
     }
 }
 
-fn put_opt_f64s(buf: &mut Vec<u8>, vs: Option<&Vec<f64>>) {
-    match vs {
-        Some(vs) => {
-            put_bool(buf, true);
-            put_f64s(buf, vs);
-        }
-        None => put_bool(buf, false),
-    }
-}
-
 fn put_pairs(buf: &mut Vec<u8>, vs: &[[f64; 2]]) {
     put_u64(buf, vs.len() as u64);
     for pair in vs {
@@ -298,31 +296,49 @@ fn put_pairs(buf: &mut Vec<u8>, vs: &[[f64; 2]]) {
     }
 }
 
-fn put_opt_pairs(buf: &mut Vec<u8>, vs: Option<&Vec<[f64; 2]>>) {
-    match vs {
-        Some(vs) => {
-            put_bool(buf, true);
-            put_pairs(buf, vs);
-        }
-        None => put_bool(buf, false),
+/// A presence flag, then `value` written by `put` when present.
+fn put_opt<T>(buf: &mut Vec<u8>, value: Option<T>, put: impl FnOnce(&mut Vec<u8>, T)) {
+    put_bool(buf, value.is_some());
+    if let Some(value) = value {
+        put(buf, value);
     }
 }
 
-/// A fitted SR model: states, per-state requests and names, row-major
-/// transition probabilities.
-fn put_sr(buf: &mut Vec<u8>, sr: &ServiceRequester) {
-    let n = sr.num_states();
-    put_u64(buf, n as u64);
+/// The head of every SR record of `service`: the state count, then
+/// each state's requests and name, read off the model of an empty
+/// window — every k-memory fit has the same ones. All classes fit with
+/// the fleet's one extractor, so the first class's serves (a service
+/// without classes has no fits).
+fn sr_head(service: &FleetService) -> Result<Vec<u8>, DpmError> {
+    let Some(class) = service.classes.first() else {
+        return Ok(Vec::new());
+    };
+    let n = class.extractor.num_states();
+    let template = class.extractor.extract_from_counts(&vec![[0.0; 2]; n])?;
+    let mut head = Vec::new();
+    put_u64(&mut head, n as u64);
     for s in 0..n {
-        put_u32(buf, sr.requests(s));
-        put_str(buf, sr.state_name(s));
+        put_u32(&mut head, template.requests(s));
+        put_str(&mut head, template.state_name(s));
     }
-    let p = sr.chain().transition_matrix();
-    for s in 0..n {
-        for t in 0..n {
-            put_f64(buf, p.prob(s, t));
-        }
+    Ok(head)
+}
+
+/// A fitted SR model: the service's [`sr_head`], then the row-major
+/// transition probabilities `matrix`.
+fn put_sr(buf: &mut Vec<u8>, head: &[u8], matrix: &[f64]) {
+    buf.extend_from_slice(head);
+    for &p in matrix {
+        put_f64(buf, p);
     }
+}
+
+/// Whether `record` is, byte for byte, the SR record [`put_sr`] writes
+/// for `matrix` under `head`.
+fn is_sr_record_of(record: &[u8], head: &[u8], matrix: &[f64]) -> bool {
+    let mut expected = Vec::with_capacity(record.len());
+    put_sr(&mut expected, head, matrix);
+    record == expected
 }
 
 // ---------------------------------------------------------------------
@@ -390,23 +406,9 @@ impl<'a> Cursor<'a> {
         Ok(n)
     }
 
-    fn string(&mut self, what: &str) -> Result<String, SnapshotError> {
-        let n = self.len(what, 1)?;
-        let bytes = self.take(n, what)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| format_err(format!("{what}: invalid UTF-8")))
-    }
-
     fn f64s(&mut self, what: &str) -> Result<Vec<f64>, SnapshotError> {
         let n = self.len(what, 8)?;
         (0..n).map(|_| self.f64(what)).collect()
-    }
-
-    fn opt_f64s(&mut self, what: &str) -> Result<Option<Vec<f64>>, SnapshotError> {
-        Ok(if self.bool(what)? {
-            Some(self.f64s(what)?)
-        } else {
-            None
-        })
     }
 
     fn pairs(&mut self, what: &str) -> Result<Vec<[f64; 2]>, SnapshotError> {
@@ -416,38 +418,35 @@ impl<'a> Cursor<'a> {
             .collect()
     }
 
-    fn opt_pairs(&mut self, what: &str) -> Result<Option<Vec<[f64; 2]>>, SnapshotError> {
+    /// A presence flag, then the value `read` takes when present.
+    fn opt<T>(
+        &mut self,
+        what: &str,
+        read: impl FnOnce(&mut Self, &str) -> Result<T, SnapshotError>,
+    ) -> Result<Option<T>, SnapshotError> {
         Ok(if self.bool(what)? {
-            Some(self.pairs(what)?)
+            Some(read(self, what)?)
         } else {
             None
         })
     }
 
-    fn sr(&mut self, what: &str) -> Result<ServiceRequester, SnapshotError> {
-        let n = self.len(what, 4)?;
-        let mut requests = Vec::with_capacity(n);
-        let mut names = Vec::with_capacity(n);
+    /// An SR record (see [`put_sr`]), taken whole as bytes.
+    fn sr_record(&mut self, what: &str) -> Result<&'a [u8], SnapshotError> {
+        let mut probe = Cursor::new(self.buf);
+        probe.pos = self.pos;
+        let n = probe.len(what, 4)?;
         for _ in 0..n {
-            requests.push(self.u32(what)?);
-            names.push(self.string(what)?);
+            probe.u32(what)?;
+            let name = probe.len(what, 1)?;
+            probe.take(name, what)?;
         }
-        // The matrix is written dense, row-major; keep its nonzeros.
-        let mut row_ptr = Vec::with_capacity(n + 1);
-        let (mut cols, mut probs) = (Vec::new(), Vec::new());
-        row_ptr.push(0);
-        for _ in 0..n {
-            for t in 0..n {
-                let p = self.f64(what)?;
-                if p != 0.0 {
-                    cols.push(t);
-                    probs.push(p);
-                }
-            }
-            row_ptr.push(cols.len());
-        }
-        let matrix = StochasticMatrix::from_csr(n, row_ptr, cols, probs).map_err(DpmError::from)?;
-        Ok(ServiceRequester::with_names(matrix, requests, names)?)
+        let len = n
+            .checked_mul(n)
+            .and_then(|cells| cells.checked_mul(8))
+            .and_then(|matrix| matrix.checked_add(probe.pos - self.pos))
+            .ok_or_else(|| format_err(format!("{what}: {n} states overflow usize")))?;
+        self.take(len, what)
     }
 
     fn finish(&self, what: &str) -> Result<(), SnapshotError> {
@@ -504,6 +503,7 @@ fn write_snapshot_versioned(
         .iter()
         .map(|c| intern(&mut table, &mut by_ptr, &c.policy))
         .collect();
+    let head = sr_head(service)?;
 
     let mut meta = Vec::new();
     put_u64(&mut meta, service.epoch);
@@ -536,13 +536,9 @@ fn write_snapshot_versioned(
             device.cluster.map_or(NO_CLUSTER, |c| c as u64),
         );
         put_u64(&mut devices, device_policy[i]);
-        match device.fit.as_ref() {
-            Some(fit) => {
-                put_bool(&mut devices, true);
-                put_sr(&mut devices, fit);
-            }
-            None => put_bool(&mut devices, false),
-        }
+        put_opt(&mut devices, device.estimator.last_fit(), |buf, fit| {
+            put_sr(buf, &head, fit);
+        });
         let state = device.estimator.export_state();
         put_pairs(&mut devices, &state.counts);
         put_u64(&mut devices, state.state as u64);
@@ -552,16 +548,10 @@ fn write_snapshot_versioned(
             put_bool(&mut devices, bit);
         }
         put_f64(&mut devices, 1.0);
-        put_opt_f64s(&mut devices, state.last_fit.as_ref());
-        match state.divergence {
-            Some(d) => {
-                put_bool(&mut devices, true);
-                put_f64(&mut devices, d);
-            }
-            None => put_bool(&mut devices, false),
-        }
+        put_opt(&mut devices, state.last_fit.as_deref(), put_f64s);
+        put_opt(&mut devices, state.divergence, put_f64);
         put_bool(&mut devices, false);
-        put_opt_pairs(&mut devices, state.counts_at_fit.as_ref());
+        put_opt(&mut devices, state.counts_at_fit.as_deref(), put_pairs);
         if version >= 2 {
             devices.push(match device.health {
                 DeviceHealth::Healthy => 0,
@@ -582,16 +572,10 @@ fn write_snapshot_versioned(
             put_u64(&mut clusters, m as u64);
         }
         put_f64s(&mut clusters, &cluster.representative);
-        put_sr(&mut clusters, &cluster.rep_model);
-        put_opt_f64s(&mut clusters, cluster.last_solved.as_ref());
+        put_sr(&mut clusters, &head, &cluster.representative);
+        put_opt(&mut clusters, cluster.last_solved.as_deref(), put_f64s);
         put_u64(&mut clusters, cluster_policy[c]);
-        match cluster.power {
-            Some(p) => {
-                put_bool(&mut clusters, true);
-                put_f64(&mut clusters, p);
-            }
-            None => put_bool(&mut clusters, false),
-        }
+        put_opt(&mut clusters, cluster.power, put_f64);
         put_u64(&mut clusters, cluster.since_solve);
         if version >= 2 {
             put_u32(&mut clusters, cluster.consecutive_holds);
@@ -624,48 +608,6 @@ fn write_snapshot_versioned(
 // ---------------------------------------------------------------------
 // Reading.
 
-/// Rebuilds an SR from a flattened transition matrix, taking requests
-/// and state names from a same-shaped template (the class shape never
-/// changes, so the representative model is a faithful template for the
-/// last-solved one).
-fn sr_from_flat(
-    flat: &[f64],
-    template: &ServiceRequester,
-) -> Result<ServiceRequester, SnapshotError> {
-    let n = template.num_states();
-    if flat.len() != n * n {
-        return Err(format_err(format!(
-            "last-solved model has {} entries for {n} states",
-            flat.len()
-        )));
-    }
-    let rows: Vec<&[f64]> = flat.chunks(n).collect();
-    let matrix = StochasticMatrix::from_rows(&rows).map_err(DpmError::from)?;
-    let requests = (0..n).map(|s| template.requests(s)).collect();
-    let names = (0..n).map(|s| template.state_name(s).to_string()).collect();
-    Ok(ServiceRequester::with_names(matrix, requests, names)?)
-}
-
-/// Whether `flat` is `sr`'s transition matrix flattened row-major, bit
-/// for bit — what an estimator's last fit holds next to the model it
-/// fitted.
-fn is_flattening_of(flat: &[f64], sr: &ServiceRequester) -> bool {
-    let n = sr.num_states();
-    flat.len() == n * n
-        && flat
-            .chunks_exact(n)
-            .zip(sr.chain().transition_matrix().rows())
-            .all(|(dense, row)| {
-                let mut entries = row.entries().peekable();
-                dense.iter().enumerate().all(|(t, &p)| {
-                    let stored = entries
-                        .next_if(|&(col, _)| col == t)
-                        .map_or(0.0, |(_, q)| q);
-                    stored.to_bits() == p.to_bits()
-                })
-            })
-}
-
 pub(crate) fn read_snapshot(
     service: &mut FleetService,
     reader: &mut impl Read,
@@ -676,6 +618,7 @@ pub(crate) fn read_snapshot(
     let mut bytes = Vec::new();
     reader.read_to_end(&mut bytes)?;
     let bytes = bytes.as_slice();
+    let head = sr_head(service)?;
     let mut top = Cursor::new(bytes);
     let magic = top.take(8, "magic")?;
     if magic != MAGIC {
@@ -821,11 +764,7 @@ pub(crate) fn read_snapshot(
             .ok()
             .and_then(|p| table.get(p))
             .ok_or_else(|| format_err(format!("device {d} references an unknown policy")))?;
-        let fit = if cur.bool("device fit flag")? {
-            Some(cur.sr("device fit")?)
-        } else {
-            None
-        };
+        let fit = cur.opt("device fit", Cursor::sr_record)?;
         let counts = cur.pairs("estimator counts")?;
         let state = usize::try_from(cur.u64("estimator state")?)
             .map_err(|_| format_err("estimator state overflows usize"))?;
@@ -836,19 +775,15 @@ pub(crate) fn read_snapshot(
             ring.push(cur.bool("estimator ring bit")?);
         }
         cur.f64("estimator weight")?;
-        let last_fit = cur.opt_f64s("estimator last fit")?;
-        let divergence = if cur.bool("estimator divergence flag")? {
-            Some(cur.f64("estimator divergence")?)
-        } else {
-            None
-        };
-        if cur.opt_pairs("estimator blend prior")?.is_some() {
+        let last_fit = cur.opt("estimator last fit", Cursor::f64s)?;
+        let divergence = cur.opt("estimator divergence", Cursor::f64)?;
+        if cur.opt("estimator blend prior", Cursor::pairs)?.is_some() {
             return Err(mismatch_err(format!(
                 "device {d} carries a blend prior: it was written by a fleet that \
                  blended consecutive fits"
             )));
         }
-        let counts_at_fit = cur.opt_pairs("estimator counts at fit")?;
+        let counts_at_fit = cur.opt("estimator counts at fit", Cursor::pairs)?;
         let (health, strikes, probation_left) = if version >= 2 {
             let health = match cur.u8("device health")? {
                 0 => DeviceHealth::Healthy,
@@ -868,9 +803,9 @@ pub(crate) fn read_snapshot(
         } else {
             (DeviceHealth::Healthy, 0, 0)
         };
-        let agree = match (&fit, &last_fit) {
+        let agree = match (fit, &last_fit) {
             (None, None) => true,
-            (Some(sr), Some(flat)) => is_flattening_of(flat, sr),
+            (Some(record), Some(flat)) => is_sr_record_of(record, &head, flat),
             _ => false,
         };
         if !agree {
@@ -889,7 +824,6 @@ pub(crate) fn read_snapshot(
             counts_at_fit,
         })?;
         devices.push(Device {
-            fit,
             cluster,
             health,
             strikes,
@@ -923,26 +857,35 @@ pub(crate) fn read_snapshot(
         if nmembers == 0 {
             return Err(format_err(format!("cluster {c} has no members")));
         }
-        let mut members = Vec::with_capacity(nmembers);
+        let mut members: Vec<usize> = Vec::with_capacity(nmembers);
         for _ in 0..nmembers {
             let m = usize::try_from(cur.u64("cluster member")?)
                 .ok()
                 .filter(|&m| m < ndevices)
                 .ok_or_else(|| format_err(format!("cluster {c} lists an out-of-range member")))?;
+            if members.last().is_some_and(|&previous| m <= previous) {
+                return Err(format_err(format!(
+                    "cluster {c}'s member {m} does not ascend past the previous member"
+                )));
+            }
             members.push(m);
         }
         let representative = cur.f64s("cluster representative")?;
-        let rep_model = cur.sr("cluster representative model")?;
-        let last_solved = cur.opt_f64s("cluster last-solved model")?;
+        if !is_sr_record_of(
+            cur.sr_record("cluster representative model")?,
+            &head,
+            &representative,
+        ) {
+            return Err(mismatch_err(format!(
+                "cluster {c}'s representative model and its representative disagree"
+            )));
+        }
+        let last_solved = cur.opt("cluster last-solved model", Cursor::f64s)?;
         let policy = usize::try_from(cur.u64("cluster policy")?)
             .ok()
             .and_then(|p| table.get(p))
             .ok_or_else(|| format_err(format!("cluster {c} references an unknown policy")))?;
-        let power = if cur.bool("cluster power flag")? {
-            Some(cur.f64("cluster power")?)
-        } else {
-            None
-        };
+        let power = cur.opt("cluster power", Cursor::f64)?;
         let since_solve = cur.u64("cluster cooldown")?;
         let (consecutive_holds, backoff_left) = if version >= 2 {
             (cur.u32("cluster holds")?, cur.u64("cluster backoff")?)
@@ -954,8 +897,7 @@ pub(crate) fn read_snapshot(
         let session = match last_solved.as_ref() {
             None => device_class.base.fork()?,
             Some(solved) => {
-                let (session, kind, solution) =
-                    device_class.rebuild(sr_from_flat(solved, &rep_model)?)?;
+                let (session, kind, solution) = device_class.rebuild(solved)?;
                 match kind {
                     ReloadKind::Warm => report.warm_reloads += 1,
                     ReloadKind::Cold => report.cold_reloads += 1,
@@ -972,7 +914,7 @@ pub(crate) fn read_snapshot(
             since_solve,
             consecutive_holds,
             backoff_left,
-            ..Cluster::new(class, members, representative, rep_model, session, policy)
+            ..Cluster::new(class, members, representative, session, policy)
         });
     }
     cur.finish("CLUSTERS")?;
@@ -1072,9 +1014,9 @@ mod tests {
         bytes
     }
 
-    /// Re-frames a version-2 snapshot with its DEVICES payload passed
-    /// through `edit`, recomputing every CRC.
-    fn edit_devices(snapshot: &[u8], edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    /// Re-frames a version-2 snapshot with the payload of its section
+    /// `section` (a tag) passed through `edit`, recomputing every CRC.
+    fn edit_section(snapshot: &[u8], section: u32, edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
         let mut out = snapshot[..12].to_vec();
         let mut cur = Cursor::new(&snapshot[12..]);
         let mut edit = Some(edit);
@@ -1083,8 +1025,8 @@ mod tests {
             let len = cur.u64("length").expect("length") as usize;
             let mut payload = cur.take(len, "payload").expect("payload").to_vec();
             cur.u32("checksum").expect("checksum");
-            if tag == TAG_DEVICES {
-                (edit.take().expect("one DEVICES section"))(&mut payload);
+            if tag == section {
+                (edit.take().expect("one section of the tag"))(&mut payload);
             }
             let mut frame = tag.to_le_bytes().to_vec();
             frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
@@ -1109,9 +1051,7 @@ mod tests {
         for what in ["id", "class", "cluster", "policy"] {
             read(cur.u64(what));
         }
-        if read(cur.bool("fit flag")) {
-            read(cur.sr("fit"));
-        }
+        read(cur.opt("fit", Cursor::sr_record));
         read(cur.pairs("counts"));
         read(cur.u64("state"));
         read(cur.u64("observed"));
@@ -1127,10 +1067,9 @@ mod tests {
     fn blend_prior_offset(devices: &[u8]) -> usize {
         let mut cur = Cursor::new(devices);
         cur.pos = last_fit_offset(devices);
-        cur.opt_f64s("last fit").expect("last fit decodes");
-        if cur.bool("divergence flag").expect("flag decodes") {
-            cur.f64("divergence").expect("divergence decodes");
-        }
+        cur.opt("last fit", Cursor::f64s).expect("last fit decodes");
+        cur.opt("divergence", Cursor::f64)
+            .expect("divergence decodes");
         cur.pos
     }
 
@@ -1163,7 +1102,7 @@ mod tests {
 
         // A device record carrying a blend prior was written by a fleet
         // that blended its fits: refused, and the target is untouched.
-        let blended = edit_devices(&v2, |devices| {
+        let blended = edit_section(&v2, TAG_DEVICES, |devices| {
             let at = blend_prior_offset(devices);
             assert_eq!(devices[at], 0, "the writer emits no blend prior");
             devices[at] = 1;
@@ -1182,7 +1121,7 @@ mod tests {
             "a refused snapshot changed the service"
         );
         // The same bytes without the prior still restore.
-        let unblended = edit_devices(&v2, |_| {});
+        let unblended = edit_section(&v2, TAG_DEVICES, |_| {});
         assert_eq!(unblended, v2);
         read_snapshot(&mut target, &mut unblended.as_slice()).expect("v2 restores");
     }
@@ -1194,12 +1133,12 @@ mod tests {
         let v2 = checkpoint_bytes(&source);
         // One bit of the estimator's last fit flipped, and the last fit
         // dropped while the fitted model stays.
-        let flipped = edit_devices(&v2, |devices| {
+        let flipped = edit_section(&v2, TAG_DEVICES, |devices| {
             let at = last_fit_offset(devices);
             assert_eq!(devices[at], 1, "the first device has fitted");
             devices[at + 9] ^= 1;
         });
-        let dropped = edit_devices(&v2, |devices| {
+        let dropped = edit_section(&v2, TAG_DEVICES, |devices| {
             let at = last_fit_offset(devices);
             let mut len = [0u8; 8];
             len.copy_from_slice(&devices[at + 1..at + 9]);
@@ -1236,7 +1175,7 @@ mod tests {
         let mut target = service();
         read_snapshot(&mut target, &mut v2.as_slice()).expect("ascending ids restore");
         for (label, first) in [("descending", 2u64), ("duplicate", 1)] {
-            let bytes = edit_devices(&v2, |devices| {
+            let bytes = edit_section(&v2, TAG_DEVICES, |devices| {
                 devices[8..16].copy_from_slice(&first.to_le_bytes());
             });
             let err = read_snapshot(&mut target, &mut bytes.as_slice())
@@ -1246,6 +1185,94 @@ mod tests {
                 "{label}: {err}"
             );
         }
+    }
+
+    /// A service of six devices of which only the fourth and the sixth
+    /// (indices 3 and 5) have been fed, alike: they form cluster 0
+    /// alone.
+    fn two_of_six_clustered() -> FleetService {
+        let mut service = service();
+        for _ in 0..4 {
+            service.add_device(ClassId(0)).expect("device adds");
+        }
+        let ids = service.device_ids().to_vec();
+        let stream: Vec<u32> = (0..48).map(|i| u32::from(i % 3 == 0)).collect();
+        service
+            .run_epoch(&[(ids[3], stream.clone()), (ids[5], stream)])
+            .expect("epoch runs");
+        assert_eq!(service.clusters(), 1);
+        assert_eq!(service.cluster_of(ids[3]), Some(0));
+        assert_eq!(service.cluster_of(ids[5]), Some(0));
+        service
+    }
+
+    #[test]
+    fn cluster_members_must_strictly_ascend() {
+        let v2 = checkpoint_bytes(&two_of_six_clustered());
+        // Cluster 0 lists device 3 twice, or its two members descending.
+        // Devices 3 and 5 both still claim it, so the membership counts
+        // agree; a list with device 3 twice would leave device 5
+        // pointing at a dropped cluster once device 3 is removed.
+        for (label, members) in [("repeated", [3u64, 3]), ("descending", [5, 3])] {
+            let bytes = edit_section(&v2, TAG_CLUSTERS, |clusters| {
+                // Cluster count, class, member count, then the members.
+                let listed = [3u64.to_le_bytes(), 5u64.to_le_bytes()].concat();
+                assert_eq!(clusters[24..40], listed, "cluster 0 lists devices 3 and 5");
+                let edited = members.map(u64::to_le_bytes).concat();
+                clusters[24..40].copy_from_slice(&edited);
+            });
+            let mut target = service();
+            let before = checkpoint_bytes(&target);
+            let err = read_snapshot(&mut target, &mut bytes.as_slice())
+                .expect_err("members that do not ascend must be refused");
+            assert!(
+                matches!(err, SnapshotError::Format { .. }),
+                "{label}: {err}"
+            );
+            assert_eq!(
+                checkpoint_bytes(&target),
+                before,
+                "{label} changed the service"
+            );
+        }
+        let mut target = service();
+        read_snapshot(&mut target, &mut v2.as_slice()).expect("the untouched snapshot restores");
+        assert_eq!(checkpoint_bytes(&target), v2);
+    }
+
+    #[test]
+    fn a_cluster_model_that_disagrees_with_its_representative_is_refused() {
+        let v2 = checkpoint_bytes(&two_of_six_clustered());
+        // Row 1 of cluster 0's representative-model record, its two
+        // probabilities swapped: still a stochastic matrix, but not the
+        // representative's model.
+        let swapped = edit_section(&v2, TAG_CLUSTERS, |clusters| {
+            let mut cur = Cursor::new(clusters);
+            let read = |field: Result<u64, SnapshotError>| field.expect("cluster decodes");
+            read(cur.u64("cluster count"));
+            read(cur.u64("class"));
+            for _ in 0..read(cur.u64("member count")) {
+                read(cur.u64("member"));
+            }
+            cur.f64s("representative").expect("representative decodes");
+            let end = cur.pos + cur.sr_record("model").expect("model decodes").len();
+            // The record ends with the 2 x 2 matrix; row 1 is its last
+            // 16 bytes.
+            let (p10, p11) = clusters[end - 16..end].split_at_mut(8);
+            assert_ne!(p10, p11, "row 1 is not uniform");
+            p10.swap_with_slice(p11);
+        });
+        let mut target = service();
+        let before = checkpoint_bytes(&target);
+        let err = read_snapshot(&mut target, &mut swapped.as_slice())
+            .expect_err("a cluster model off its representative must be refused");
+        assert!(matches!(err, SnapshotError::Mismatch { .. }), "{err}");
+        assert_eq!(
+            checkpoint_bytes(&target),
+            before,
+            "the refusal changed the service"
+        );
+        read_snapshot(&mut target, &mut v2.as_slice()).expect("the untouched snapshot restores");
     }
 
     #[test]

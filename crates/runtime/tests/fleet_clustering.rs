@@ -103,7 +103,7 @@ fn per_device_baseline(traces: &[Vec<Vec<u32>>]) -> (usize, usize) {
                 continue;
             };
             let device_system =
-                SystemModel::compose(system.provider().clone(), fit.clone(), *system.queue())
+                SystemModel::compose(system.provider().clone(), fit, *system.queue())
                     .expect("composes");
             let mut session = base.fork().expect("forks");
             session

@@ -131,9 +131,7 @@ impl SrExtractor {
     /// [`DpmError::IncompleteModel`] when `counts` does not have one
     /// entry per model state, or contains a negative/non-finite count.
     pub fn extract_from_counts(&self, counts: &[[f64; 2]]) -> Result<ServiceRequester, DpmError> {
-        let k = self.memory as usize;
         let n = self.num_states();
-        let mask = n - 1;
         if counts.len() != n {
             return Err(DpmError::IncompleteModel {
                 reason: format!("{} count rows for a {n}-state model", counts.len()),
@@ -150,28 +148,64 @@ impl SrExtractor {
         let mut cols = Vec::with_capacity(2 * n);
         let mut probs = Vec::with_capacity(2 * n);
         row_ptr.push(0);
-        for (s, pair) in counts.iter().enumerate() {
-            let smoothed = [pair[0] + self.smoothing, pair[1] + self.smoothing];
-            let total = smoothed[0] + smoothed[1];
-            if total > 0.0 {
-                for (bit, &count) in smoothed.iter().enumerate() {
-                    let p = count / total;
-                    if p != 0.0 {
-                        cols.push(((s << 1) | bit) & mask);
-                        probs.push(p);
-                    }
-                }
-            } else {
-                // Unvisited history: inert self-loop.
-                cols.push(s);
-                probs.push(1.0);
-            }
+        for (s, &pair) in counts.iter().enumerate() {
+            self.fitted_row(s, pair, |t, p| {
+                cols.push(t);
+                probs.push(p);
+            });
             row_ptr.push(cols.len());
         }
-        let transition = StochasticMatrix::from_csr(n, row_ptr, cols, probs)?;
-        let requests: Vec<u32> = (0..n).map(|s| (s & 1) as u32).collect();
-        let names: Vec<String> = (0..n)
-            .map(|s| format!("h{:0width$b}", s, width = k))
+        self.requester(StochasticMatrix::from_csr(n, row_ptr, cols, probs)?)
+    }
+
+    /// The k-memory requester of a fitted transition matrix, row-major
+    /// `n × n` — the form [`WindowedEstimator::fit`](crate::WindowedEstimator::fit)
+    /// returns: the matrix's nonzeros in column order, `s & 1` requests
+    /// and the history name `h…` for state `s`. On a flattened kernel of
+    /// [`Self::extract_from_counts`] it rebuilds that model exactly.
+    ///
+    /// # Errors
+    ///
+    /// [`DpmError::IncompleteModel`] when `matrix` is not `n × n`;
+    /// [`DpmError::Markov`] when its rows are not stochastic.
+    pub fn model(&self, matrix: &[f64]) -> Result<ServiceRequester, DpmError> {
+        let n = self.num_states();
+        if matrix.len() != n * n {
+            return Err(DpmError::IncompleteModel {
+                reason: format!("{} entries for a {n}x{n} transition matrix", matrix.len()),
+            });
+        }
+        let rows: Vec<&[f64]> = matrix.chunks_exact(n).collect();
+        self.requester(StochasticMatrix::from_rows(&rows)?)
+    }
+
+    /// Row `s` of the model fitted to the counts `[s → shift-in 0,
+    /// s → shift-in 1]`, passed to `entry` as its nonzero `(column,
+    /// probability)` pairs in column order: the smoothed frequencies of
+    /// the two successor histories, or the inert self-loop of a history
+    /// with zero total count.
+    pub(crate) fn fitted_row(&self, s: usize, pair: [f64; 2], mut entry: impl FnMut(usize, f64)) {
+        let smoothed = [pair[0] + self.smoothing, pair[1] + self.smoothing];
+        let total = smoothed[0] + smoothed[1];
+        if total > 0.0 {
+            for (bit, &count) in smoothed.iter().enumerate() {
+                let p = count / total;
+                if p != 0.0 {
+                    entry(((s << 1) | bit) & (self.num_states() - 1), p);
+                }
+            }
+        } else {
+            entry(s, 1.0);
+        }
+    }
+
+    /// The k-memory requester over `transition`: state `s` issues
+    /// `s & 1` requests and is named by its history bits.
+    fn requester(&self, transition: StochasticMatrix) -> Result<ServiceRequester, DpmError> {
+        let n = self.num_states();
+        let requests = (0..n).map(|s| (s & 1) as u32).collect();
+        let names = (0..n)
+            .map(|s| format!("h{:0width$b}", s, width = self.memory as usize))
             .collect();
         ServiceRequester::with_names(transition, requests, names)
     }
@@ -370,6 +404,69 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn model_of_a_flattened_fit_is_the_fit() {
+        // The matrix form a fit is stored in loses nothing: rebuilding
+        // the requester from it gives the same kernel entries, bit for
+        // bit, the same requests and the same names — self-loops of
+        // unvisited histories and dropped zero probabilities included.
+        use rand::{RngCore, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        let entries = |sr: &ServiceRequester| -> Vec<(usize, usize, u64)> {
+            let p = sr.chain().transition_matrix();
+            p.rows()
+                .enumerate()
+                .flat_map(|(s, row)| row.entries().map(move |(t, q)| (s, t, q.to_bits())))
+                .collect()
+        };
+        let (mut loops, mut zeros) = (0, 0);
+        for memory in 1..=4u32 {
+            let n = 1usize << memory;
+            for case in 0..40 {
+                // Each count is zero a third of the time, else a whole or
+                // a fractional tally.
+                let counts: Vec<[f64; 2]> = (0..n)
+                    .map(|_| {
+                        [(); 2].map(|()| match rng.next_u64() % 3 {
+                            0 => 0.0,
+                            1 => (rng.next_u64() % 50) as f64,
+                            _ => (rng.next_u64() % 1000) as f64 / 7.0,
+                        })
+                    })
+                    .collect();
+                for alpha in [0.0, 0.5] {
+                    let extractor = SrExtractor::new(memory).with_smoothing(alpha);
+                    let fitted = extractor.extract_from_counts(&counts).unwrap();
+                    let p = fitted.chain().transition_matrix();
+                    let flat: Vec<f64> = (0..n)
+                        .flat_map(|s| (0..n).map(move |t| (s, t)))
+                        .map(|(s, t)| p.prob(s, t))
+                        .collect();
+                    let rebuilt = extractor.model(&flat).unwrap();
+                    let context = format!("k={memory} case={case} alpha={alpha}");
+                    assert_eq!(entries(&rebuilt), entries(&fitted), "{context}");
+                    for s in 0..n {
+                        assert_eq!(rebuilt.requests(s), fitted.requests(s), "{context}");
+                        assert_eq!(rebuilt.state_name(s), fitted.state_name(s), "{context}");
+                    }
+                    for (s, row) in p.rows().enumerate() {
+                        loops += usize::from(row.entries().eq([(s, 1.0)]));
+                        zeros += usize::from(row.entries().count() == 1);
+                    }
+                }
+            }
+        }
+        assert!(
+            loops > 0 && zeros > loops,
+            "{loops} self-loops, {zeros} one-entry rows"
+        );
+        assert!(SrExtractor::new(2).model(&[0.5; 8]).is_err(), "not 4x4");
+        assert!(
+            SrExtractor::new(1).model(&[0.5, 0.5, 0.5, 0.6]).is_err(),
+            "not stochastic"
+        );
     }
 
     #[test]

@@ -8,6 +8,10 @@
 //! window so the fitted model tracks the *recent* workload instead of the
 //! whole history, and it measures the **drift** between consecutive fits
 //! so a controller can decide when a re-optimization is worth the solve.
+//! A fit is the model's transition matrix, flattened row-major — what
+//! the drift gauge compares and what a fleet stores per device;
+//! [`SrExtractor::model`] builds its requester only where a system is
+//! composed for a solve.
 //!
 //! The window is **sliding** ([`WindowKind::Sliding`]): the last `n`
 //! slices count fully, older slices not at all — the paper's
@@ -20,7 +24,7 @@
 //! subtracted, and the words are shifted into the ring — for any batch
 //! length, longer than the window included.
 
-use dpm_core::{DpmError, ServiceRequester};
+use dpm_core::DpmError;
 
 use crate::{packed, SrExtractor};
 
@@ -86,10 +90,14 @@ pub enum WindowKind {
 
 /// A streaming k-memory workload estimator with drift detection: feed it
 /// the per-slice arrival counts the simulator (or the real system)
-/// observes, [`fit`](WindowedEstimator::fit) a [`ServiceRequester`]
-/// whenever a fresh model is wanted, and read the
+/// observes, [`fit`](WindowedEstimator::fit) the model's transition
+/// matrix whenever a fresh model is wanted, and read the
 /// [`divergence`](WindowedEstimator::divergence) between the last two
-/// fits to decide whether the drift justifies a re-optimization.
+/// fits to decide whether the drift justifies a re-optimization. The
+/// estimator keeps the last fit as that flattened matrix only;
+/// [`SrExtractor::model`] builds the
+/// [`ServiceRequester`](dpm_core::ServiceRequester) of a fit where a
+/// system is composed for a solve.
 ///
 /// # Example
 ///
@@ -103,14 +111,14 @@ pub enum WindowKind {
 /// for i in 0..64 {
 ///     estimator.observe(u32::from(i % 2 == 0));
 /// }
-/// let busy = estimator.fit()?;
-/// assert!(busy.request_rate()? > 0.3);
+/// let busy = extractor.model(estimator.fit()?)?.request_rate()?;
+/// assert!(busy > 0.3);
 /// // ...then a long idle phase: the window forgets the bursts.
 /// for _ in 0..64 {
 ///     estimator.observe(0);
 /// }
-/// let idle = estimator.fit()?;
-/// assert!(idle.request_rate()? < busy.request_rate()?);
+/// let idle = extractor.model(estimator.fit()?)?.request_rate()?;
+/// assert!(idle < busy);
 /// // The regime change shows up as divergence between the two fits.
 /// assert!(estimator.divergence().unwrap() > 0.1);
 /// # Ok(())
@@ -546,13 +554,16 @@ impl WindowedEstimator {
     }
 
     /// Fits the k-memory model to the current window and updates the
-    /// [`Self::divergence`] gauge against the previous fit.
+    /// [`Self::divergence`] gauge against the previous fit. Returns the
+    /// fitted transition matrix, flattened row-major — the matrix
+    /// [`Self::last_fit`] holds from now on;
+    /// [`SrExtractor::model`] builds its requester.
     ///
     /// # Errors
     ///
     /// [`DpmError::IncompleteModel`] when no transition has been observed
     /// yet (see [`Self::is_ready`]).
-    pub fn fit(&mut self) -> Result<ServiceRequester, DpmError> {
+    pub fn fit(&mut self) -> Result<&[f64], DpmError> {
         if !self.is_ready() {
             return Err(DpmError::IncompleteModel {
                 reason: format!(
@@ -563,14 +574,14 @@ impl WindowedEstimator {
             });
         }
         let counts = self.counts_at_fit.insert(self.window.counts());
-        let fitted = self.extractor.extract_from_counts(counts)?;
         let n = self.extractor.num_states();
-        let mut flat = Vec::with_capacity(n * n);
-        let p = fitted.chain().transition_matrix();
-        for s in 0..n {
-            for t in 0..n {
-                flat.push(p.prob(s, t));
-            }
+        let mut flat = vec![0.0; n * n];
+        for (s, (&pair, row)) in counts.iter().zip(flat.chunks_exact_mut(n)).enumerate() {
+            self.extractor.fitted_row(s, pair, |t, p| {
+                if let Some(entry) = row.get_mut(t) {
+                    *entry = p;
+                }
+            });
         }
         self.divergence = self.last_fit.as_ref().map(|prev| {
             prev.iter()
@@ -578,8 +589,7 @@ impl WindowedEstimator {
                 .map(|(a, b)| (a - b).abs())
                 .fold(0.0, f64::max)
         });
-        self.last_fit = Some(flat);
-        Ok(fitted)
+        Ok(self.last_fit.insert(flat))
     }
 
     /// The transition matrix of the most recent [`Self::fit`], flattened
@@ -799,7 +809,7 @@ mod tests {
         let extractor = SrExtractor::new(2).with_smoothing(0.1);
         let mut estimator = WindowedEstimator::new(extractor, WindowKind::Sliding(40)).unwrap();
         feed(&mut estimator, stream.iter().copied());
-        let online = estimator.fit().unwrap();
+        let online = extractor.model(estimator.fit().unwrap()).unwrap();
         let offline = extractor.extract(&stream[stream.len() - 40..]).unwrap();
         let (po, pf) = (
             online.chain().transition_matrix(),
@@ -822,10 +832,12 @@ mod tests {
         let extractor = SrExtractor::new(1).with_smoothing(0.5);
         let mut estimator = WindowedEstimator::new(extractor, WindowKind::Sliding(50)).unwrap();
         feed(&mut estimator, std::iter::repeat_n(1u32, 200));
-        let busy = estimator.fit().unwrap().request_rate().unwrap();
+        let busy = extractor.model(estimator.fit().unwrap()).unwrap();
+        let busy = busy.request_rate().unwrap();
         assert!(busy > 0.9, "busy rate {busy}");
         feed(&mut estimator, std::iter::repeat_n(0u32, 200));
-        let idle = estimator.fit().unwrap().request_rate().unwrap();
+        let idle = extractor.model(estimator.fit().unwrap()).unwrap();
+        let idle = idle.request_rate().unwrap();
         assert!(idle < 0.1, "idle rate {idle}");
         assert!(estimator.has_drifted(0.3));
     }
@@ -980,15 +992,13 @@ mod tests {
         for est in [&mut original, &mut restored] {
             feed(est, (0..30).map(|i| u32::from(i % 5 < 2)));
         }
-        let (a, b) = (original.fit().unwrap(), restored.fit().unwrap());
-        let (pa, pb) = (a.chain().transition_matrix(), b.chain().transition_matrix());
-        for s in 0..4 {
-            for t in 0..4 {
-                assert!(
-                    pa.prob(s, t).to_bits() == pb.prob(s, t).to_bits(),
-                    "({s},{t}) differs after restore"
-                );
-            }
+        let a = original.fit().unwrap().to_vec();
+        let b = restored.fit().unwrap();
+        for (i, (pa, pb)) in a.iter().zip(b).enumerate() {
+            assert!(
+                pa.to_bits() == pb.to_bits(),
+                "entry {i} differs after restore"
+            );
         }
         assert_eq!(original.divergence(), restored.divergence());
     }
@@ -1049,13 +1059,8 @@ mod tests {
 
         // After every rejection the estimator still fits finitely.
         estimator.observe_raw(1.0).unwrap();
-        let sr = estimator.fit().unwrap();
-        let p = sr.chain().transition_matrix();
-        for s in 0..2 {
-            for t in 0..2 {
-                assert!(p.prob(s, t).is_finite(), "({s},{t}) non-finite");
-            }
-        }
+        let fit = estimator.fit().unwrap();
+        assert!(fit.iter().all(|p| p.is_finite()), "non-finite fit {fit:?}");
     }
 
     #[test]
@@ -1323,7 +1328,7 @@ mod tests {
                                 extractor.extract_from_counts(&reference.counts).unwrap();
                             reference.at_fit = Some(reference.counts.clone());
                             assert_eq!(
-                                bits_of(fitted.chain().transition_matrix()),
+                                fitted.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
                                 bits_of(expected.chain().transition_matrix()),
                                 "{context}: fit"
                             );
