@@ -1,13 +1,14 @@
 //! Golden transcript of a fleet service's life.
 //!
 //! Every observable result of the seeded schedules below is folded into
-//! one FNV-1a hash per schedule: each epoch's [`FleetReport`] (as
-//! `Debug` text), then every device's id, the exact bits of its policy,
-//! its cluster and its health, then the bytes of a checkpoint taken
-//! after the epoch. Restores fold their [`RestoreReport`]. A change to
-//! the fleet that claims to move no report, policy or snapshot byte
-//! must keep these hashes, and each schedule must hash the same at 1
-//! and at 3 workers.
+//! two FNV-1a hashes per schedule. The **state** hash takes each
+//! epoch's [`FleetReport`] (as `Debug` text), then every device's id,
+//! the exact bits of its policy, its cluster and its health; restores
+//! fold their [`RestoreReport`] into it. The **snapshot** hash takes
+//! the bytes of a checkpoint taken after each epoch. A change to the
+//! fleet that claims to move no report, policy or snapshot byte must
+//! keep both; a change of the snapshot format moves only the second.
+//! Each schedule must hash the same at 1 and at 3 workers.
 //!
 //! * **churn:** three device classes on switching two-state streams,
 //!   devices added and removed mid-run, idle devices, and two
@@ -28,21 +29,17 @@ const EPOCH_SLICES: usize = 160;
 
 /// 64-bit FNV-1a over a stream of byte strings.
 #[derive(Debug)]
-struct Transcript {
-    hash: u64,
-}
+struct Fnv(u64);
 
-impl Transcript {
+impl Fnv {
     fn new() -> Self {
-        Transcript {
-            hash: 0xcbf2_9ce4_8422_2325,
-        }
+        Fnv(0xcbf2_9ce4_8422_2325)
     }
 
     fn bytes(&mut self, bytes: &[u8]) {
         for &byte in bytes {
-            self.hash ^= u64::from(byte);
-            self.hash = self.hash.wrapping_mul(0x0000_0100_0000_01b3);
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
 
@@ -50,20 +47,44 @@ impl Transcript {
         self.bytes(text.as_bytes());
         self.bytes(&[0xff]);
     }
+}
 
-    /// One epoch: the report, every device's state, then a checkpoint's
-    /// bytes.
+/// The two hashes of one schedule.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Hashes {
+    /// Reports, policy bits, clusters, health and restore reports.
+    state: u64,
+    /// The bytes of every checkpoint.
+    snapshot: u64,
+}
+
+#[derive(Debug)]
+struct Transcript {
+    state: Fnv,
+    snapshot: Fnv,
+}
+
+impl Transcript {
+    fn new() -> Self {
+        Transcript {
+            state: Fnv::new(),
+            snapshot: Fnv::new(),
+        }
+    }
+
+    /// One epoch: the report and every device's state, then a
+    /// checkpoint's bytes.
     fn epoch(&mut self, service: &FleetService, report: &FleetReport) {
-        self.text(&format!("{report:?}"));
+        self.state.text(&format!("{report:?}"));
         for &id in service.device_ids() {
-            self.bytes(&id.raw().to_le_bytes());
+            self.state.bytes(&id.raw().to_le_bytes());
             let policy = service.policy(id).expect("a managed device has a policy");
             for row in policy.decisions() {
                 for p in row {
-                    self.bytes(&p.to_bits().to_le_bytes());
+                    self.state.bytes(&p.to_bits().to_le_bytes());
                 }
             }
-            self.text(&format!(
+            self.state.text(&format!(
                 "{:?} {:?}",
                 service.cluster_of(id),
                 service.health_of(id)
@@ -71,11 +92,18 @@ impl Transcript {
         }
         let mut snapshot = Vec::new();
         service.checkpoint(&mut snapshot).expect("checkpoints");
-        self.bytes(&snapshot);
+        self.snapshot.bytes(&snapshot);
     }
 
     fn restore(&mut self, report: &RestoreReport) {
-        self.text(&format!("{report:?}"));
+        self.state.text(&format!("{report:?}"));
+    }
+
+    fn hashes(&self) -> Hashes {
+        Hashes {
+            state: self.state.0,
+            snapshot: self.snapshot.0,
+        }
     }
 }
 
@@ -169,7 +197,7 @@ fn hand_over(t: &mut Transcript, service: &mut FleetService, workers: usize) {
     *service = restored;
 }
 
-fn churn_schedule(workers: usize) -> u64 {
+fn churn_schedule(workers: usize) -> Hashes {
     let mut rng = Rng(0x5EED_F1EE_7000_0001);
     let mut t = Transcript::new();
     let (mut service, classes) = service(workers);
@@ -198,10 +226,10 @@ fn churn_schedule(workers: usize) -> u64 {
             hand_over(&mut t, &mut service, workers);
         }
     }
-    t.hash
+    t.hashes()
 }
 
-fn telemetry_schedule(workers: usize) -> u64 {
+fn telemetry_schedule(workers: usize) -> Hashes {
     let mut rng = Rng(0x5EED_7E1E_0000_0002);
     let mut t = Transcript::new();
     let (mut service, classes) = service(workers);
@@ -236,7 +264,7 @@ fn telemetry_schedule(workers: usize) -> u64 {
             hand_over(&mut t, &mut service, workers);
         }
     }
-    t.hash
+    t.hashes()
 }
 
 #[test]
@@ -244,7 +272,10 @@ fn churn_transcript_is_pinned() {
     for workers in [1, 3] {
         assert_eq!(
             churn_schedule(workers),
-            14_350_177_831_888_110_430,
+            Hashes {
+                state: 2_016_951_588_797_486_534,
+                snapshot: 15_354_045_634_806_562_203,
+            },
             "at {workers} workers"
         );
     }
@@ -255,7 +286,10 @@ fn telemetry_transcript_is_pinned() {
     for workers in [1, 3] {
         assert_eq!(
             telemetry_schedule(workers),
-            13_861_992_420_780_228_414,
+            Hashes {
+                state: 17_122_513_979_898_152_614,
+                snapshot: 894_423_346_884_713_943,
+            },
             "at {workers} workers"
         );
     }
