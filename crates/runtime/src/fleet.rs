@@ -564,8 +564,12 @@ impl FleetService {
                 .position(|cl| cl.class == class && gauge(flat, &cl.representative) <= threshold);
             let c = match home {
                 Some(c) => {
-                    self.clusters[c].members.push(d);
-                    self.clusters[c].members.sort_unstable();
+                    // Devices re-home in ascending order, so `d` lands
+                    // at the end unless the cluster kept a member with
+                    // a higher index.
+                    let members = &mut self.clusters[c].members;
+                    let at = members.partition_point(|&m| m < d);
+                    members.insert(at, d);
                     c
                 }
                 None => {

@@ -573,23 +573,41 @@ impl WindowedEstimator {
                 ),
             });
         }
-        let counts = self.counts_at_fit.insert(self.window.counts());
+        // Both buffers are written in place: a refit allocates nothing.
+        let counts = self.counts_at_fit.get_or_insert_with(Vec::new);
+        counts.clear();
+        counts.extend(
+            self.window
+                .tally
+                .iter()
+                .map(|&[zero, one]| [zero as f64, one as f64]),
+        );
         let n = self.extractor.num_states();
-        let mut flat = vec![0.0; n * n];
+        let refit = self.last_fit.is_some();
+        let flat = self.last_fit.get_or_insert_with(|| vec![0.0; n * n]);
+        let mut worst = 0.0f64;
         for (s, (&pair, row)) in counts.iter().zip(flat.chunks_exact_mut(n)).enumerate() {
+            // A fitted row has at most two nonzero entries, in column
+            // order; every other entry is zero. The gauge compares each
+            // entry with the previous fit's before overwriting it.
+            let mut fitted = [(n, 0.0); 2];
+            let mut slots = fitted.iter_mut();
             self.extractor.fitted_row(s, pair, |t, p| {
-                if let Some(entry) = row.get_mut(t) {
-                    *entry = p;
+                if let Some(slot) = slots.next() {
+                    *slot = (t, p);
                 }
             });
+            let mut fitted = fitted.iter().peekable();
+            for (t, entry) in row.iter_mut().enumerate() {
+                let p = fitted
+                    .next_if(|&&(column, _)| column == t)
+                    .map_or(0.0, |&(_, p)| p);
+                worst = worst.max((*entry - p).abs());
+                *entry = p;
+            }
         }
-        self.divergence = self.last_fit.as_ref().map(|prev| {
-            prev.iter()
-                .zip(&flat)
-                .map(|(a, b)| (a - b).abs())
-                .fold(0.0, f64::max)
-        });
-        Ok(self.last_fit.insert(flat))
+        self.divergence = refit.then_some(worst);
+        Ok(flat)
     }
 
     /// The transition matrix of the most recent [`Self::fit`], flattened
