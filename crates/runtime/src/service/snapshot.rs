@@ -1,27 +1,28 @@
 //! The versioned binary snapshot behind [`FleetService::checkpoint`] /
 //! [`FleetService::restore`] — serde-free, in-house writer/reader.
 //!
-//! # Format (version 2)
+//! # Format (version 3)
 //!
 //! All integers little-endian; `f64` as IEEE-754 bit patterns
 //! ([`f64::to_bits`]), so a round trip is **bit-identical**. Layout:
 //!
 //! ```text
 //! magic   b"DPMFLEET"                      8 bytes
-//! version u32                              currently 2
+//! version u32                              currently 3
 //! section*                                 tag u32, payload-len u64, payload, crc32 u32
 //! end     tag 0, len 0, crc32 u32
 //! ```
 //!
 //! Each section frame (tag + length + payload) is closed by its CRC-32
-//! (IEEE 802.3 polynomial) over the whole frame, so any bit flip —
-//! payload, tag or length — surfaces as
+//! (IEEE 802.3 polynomial, computed eight bytes at a time) over the
+//! whole frame, so any bit flip — payload, tag or length — surfaces as
 //! [`SnapshotError::ChecksumMismatch`] instead of being decoded into
 //! plausible-looking state, and a truncated stream surfaces as
-//! [`SnapshotError::Truncated`]. Version-1 snapshots (no CRCs, no
-//! health fields) remain readable; a snapshot with a version newer
-//! than this build is rejected with
-//! [`SnapshotError::UnsupportedVersion`] rather than misparsed.
+//! [`SnapshotError::Truncated`]. The writer hashes each frame as it
+//! writes it. Version-1 (no CRCs, no health fields) and version-2
+//! snapshots remain readable; a snapshot with a version newer than this
+//! build is rejected with [`SnapshotError::UnsupportedVersion`] rather
+//! than misparsed.
 //!
 //! Sections (each at most once; unknown tags are skipped — after CRC
 //! verification — so later versions can append):
@@ -30,31 +31,59 @@
 //! |-----|----------|--------------------------------------------------|
 //! | 1   | META     | epoch, next device id, per-class LP fingerprints |
 //! | 2   | POLICIES | deduplicated randomized-policy table             |
-//! | 3   | DEVICES  | per device: id, class, cluster, policy index, fitted SR, full estimator state; v2 adds health, strikes, probation |
-//! | 4   | CLUSTERS | per cluster: class, members, representative, representative SR, last-solved model, policy index, power, cooldown; v2 adds hold/backoff counters |
+//! | 3   | DEVICES  | per device, the record below                     |
+//! | 4   | CLUSTERS | per cluster, the record below                    |
 //!
-//! The estimator state keeps two fields of a retired estimator mode: a
-//! window weight, written as `1.0` and ignored on read, and a
-//! blend-prior table, written absent. Only a fleet that blended
-//! consecutive fits could have written a present blend prior, and its
-//! devices cannot continue here, so reading one is a
-//! [`SnapshotError::Mismatch`].
+//! A version-3 device record, field by field (`f64s` and `pairs` are a
+//! `u64` count, then that many `f64`s or `[f64; 2]`s; `opt` is a 0/1
+//! byte, then the field when 1):
 //!
-//! An SR record (a device's fitted SR, a cluster's representative SR)
-//! holds the state count, each state's requests and name, and the
-//! row-major transition probabilities. The service keeps no requester:
-//! the writer derives each record from the matrix beside it (the
-//! estimator's last fit, the cluster's representative), with requests
-//! and names from one k-memory template per checkpoint.
+//! | field | encoding |
+//! |-------|----------|
+//! | id, class, cluster (`u64::MAX`: none), policy index | 4 × `u64` |
+//! | window counts | `pairs` |
+//! | k-bit history, slices observed | 2 × `u64` |
+//! | window ring | `u64` word count, then the words of [`EstimatorState::ring`] |
+//! | last fit | `opt f64s` |
+//! | divergence | `opt f64` |
+//! | counts at the last fit | `opt pairs` |
+//! | health, strikes, probation left | `u8`, `u32`, `u64` |
+//!
+//! A version-3 cluster record: class (`u64`), members (a `u64` count,
+//! then `u64` device indices), representative (`f64s`), last-solved
+//! model (`opt f64s`), policy index (`u64`), power (`opt f64`), epochs
+//! since the last solve (`u64`), consecutive holds (`u32`) and backoff
+//! left (`u64`).
+//!
+//! Versions 1 and 2 store what version 3 drops because the reader can
+//! derive it or never uses it:
+//! - the ring as one 0/1 byte per slice;
+//! - a device's fitted SR record (written when the estimator has a last
+//!   fit, right after the policy index) and a cluster's representative
+//!   SR record (right after the representative);
+//! - after the ring, a window weight (written as `1.0` and ignored), and
+//!   after the divergence, a blend-prior table (written absent). Only a
+//!   fleet that blended consecutive fits could have written a present
+//!   blend prior, and its devices cannot continue here, so reading one
+//!   is a [`SnapshotError::Mismatch`].
+//!
+//! Version 1 also lacks the health fields and the clusters' hold and
+//! backoff counters. An SR record holds the state count, each state's
+//! requests and name, and the row-major transition probabilities; the
+//! reader refuses a version-1 or -2 SR record that is not byte for byte
+//! what the writer derives from the matrix beside it (a
+//! [`SnapshotError::Mismatch`]; the clustering gauge and the solves read
+//! the matrix).
 //!
 //! Beyond framing, the reader refuses what a writer never emits:
 //! device ids or cluster member lists that do not strictly ascend (a
 //! [`SnapshotError::Format`]; the service looks ids up by binary
 //! search, and a member listed twice leaves a device pointing at a
-//! dropped cluster once the other leaves), and an SR record that is not
-//! byte for byte what the writer derives from the matrix beside it (a
-//! [`SnapshotError::Mismatch`]; the clustering gauge and the solves
-//! read the matrix).
+//! dropped cluster once the other leaves), a representative that is
+//! not an `n × n` matrix of the class's model (a
+//! [`SnapshotError::Mismatch`]), and a ring whose word count does not
+//! match its slices or whose padding bits are set (the estimator's
+//! [`DpmError::BadConfiguration`], as a [`SnapshotError::Dpm`]).
 //!
 //! Policies are written once each and referenced by table index, so the
 //! `Arc` sharing between a cluster and its member devices survives the
@@ -70,7 +99,7 @@ use std::sync::Arc;
 use dpm_core::DpmError;
 use dpm_lp::ReloadKind;
 use dpm_mdp::RandomizedPolicy;
-use dpm_trace::EstimatorState;
+use dpm_trace::{EstimatorState, WindowKind, WindowedEstimator};
 
 use crate::fleet::{Cluster, Device, DeviceHealth};
 use crate::service::{DeviceId, FleetService};
@@ -79,7 +108,7 @@ use crate::service::{DeviceId, FleetService};
 const MAGIC: &[u8; 8] = b"DPMFLEET";
 /// The newest format version: what this build writes, and the ceiling
 /// of what it reads.
-const VERSION: u32 = 2;
+const VERSION: u32 = 3;
 /// The oldest version this build still reads (no CRCs, no health).
 const OLDEST_VERSION: u32 = 1;
 
@@ -196,11 +225,14 @@ fn format_err(reason: impl Into<String>) -> SnapshotError {
 }
 
 // ---------------------------------------------------------------------
-// CRC-32 (IEEE 802.3, reflected 0xEDB88320), table-driven and
+// CRC-32 (IEEE 802.3, reflected 0xEDB88320), slice-by-8 and
 // dependency-free.
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// The slice-by-8 tables. Table 0 is the byte-at-a-time table; table
+/// `t` carries a byte's contribution on through `t` more zero bytes, so
+/// eight bytes fold into the CRC with eight independent lookups.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -213,21 +245,78 @@ const fn crc32_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let carried = tables[t - 1][i];
+            tables[t][i] = (carried >> 8) ^ tables[0][(carried & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = crc32_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
+
+/// A running CRC-32 (IEEE polynomial, init/xorout `!0`), fed in pieces.
+#[derive(Debug, Clone, Copy)]
+struct Crc32(u32);
+
+impl Crc32 {
+    fn new() -> Self {
+        Crc32(!0)
+    }
+
+    /// Folds `bytes` in: eight at a time, the tail byte by byte.
+    fn update(&mut self, bytes: &[u8]) {
+        let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC_TABLES;
+        let at = |table: &[u32; 256], index: u32| table[(index & 0xFF) as usize];
+        let mut crc = self.0;
+        let words = bytes.chunks_exact(8);
+        let tail = words.remainder();
+        for word in words {
+            let word = le_u64(word);
+            let low = word as u32 ^ crc;
+            let high = (word >> 32) as u32;
+            crc = at(t7, low)
+                ^ at(t6, low >> 8)
+                ^ at(t5, low >> 16)
+                ^ at(t4, low >> 24)
+                ^ at(t3, high)
+                ^ at(t2, high >> 8)
+                ^ at(t1, high >> 16)
+                ^ at(t0, high >> 24);
+        }
+        for &byte in tail {
+            crc = (crc >> 8) ^ at(t0, crc ^ u32::from(byte));
+        }
+        self.0 = crc;
+    }
+
+    fn finish(self) -> u32 {
+        !self.0
+    }
+}
 
 /// CRC-32 of `bytes` (IEEE polynomial, init/xorout `!0`).
+#[cfg(test)]
 fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
-    }
-    !crc
+    let mut crc = Crc32::new();
+    crc.update(bytes);
+    crc.finish()
+}
+
+/// The little-endian `u64` of the first eight of `bytes` (zero when
+/// there are fewer).
+fn le_u64(bytes: &[u8]) -> u64 {
+    bytes
+        .first_chunk()
+        .map_or(0, |&word| u64::from_le_bytes(word))
 }
 
 fn mismatch_err(reason: impl Into<String>) -> SnapshotError {
@@ -288,11 +377,11 @@ fn put_f64s(buf: &mut Vec<u8>, vs: &[f64]) {
     }
 }
 
-fn put_pairs(buf: &mut Vec<u8>, vs: &[[f64; 2]]) {
-    put_u64(buf, vs.len() as u64);
-    for pair in vs {
-        put_f64(buf, pair[0]);
-        put_f64(buf, pair[1]);
+fn put_pairs(buf: &mut Vec<u8>, pairs: impl ExactSizeIterator<Item = [f64; 2]>) {
+    put_u64(buf, pairs.len() as u64);
+    for [zero, one] in pairs {
+        put_f64(buf, zero);
+        put_f64(buf, one);
     }
 }
 
@@ -304,11 +393,11 @@ fn put_opt<T>(buf: &mut Vec<u8>, value: Option<T>, put: impl FnOnce(&mut Vec<u8>
     }
 }
 
-/// The head of every SR record of `service`: the state count, then
-/// each state's requests and name, read off the model of an empty
-/// window — every k-memory fit has the same ones. All classes fit with
-/// the fleet's one extractor, so the first class's serves (a service
-/// without classes has no fits).
+/// The head of every version-1/2 SR record of `service`: the state
+/// count, then each state's requests and name, read off the model of an
+/// empty window — every k-memory fit has the same ones. All classes fit
+/// with the fleet's one extractor, so the first class's serves (a
+/// service without classes has no fits).
 fn sr_head(service: &FleetService) -> Result<Vec<u8>, DpmError> {
     let Some(class) = service.classes.first() else {
         return Ok(Vec::new());
@@ -324,8 +413,8 @@ fn sr_head(service: &FleetService) -> Result<Vec<u8>, DpmError> {
     Ok(head)
 }
 
-/// A fitted SR model: the service's [`sr_head`], then the row-major
-/// transition probabilities `matrix`.
+/// A version-1/2 SR record: the service's [`sr_head`], then the
+/// row-major transition probabilities `matrix`.
 fn put_sr(buf: &mut Vec<u8>, head: &[u8], matrix: &[f64]) {
     buf.extend_from_slice(head);
     for &p in matrix {
@@ -355,30 +444,32 @@ impl<'a> Cursor<'a> {
     }
 
     fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], SnapshotError> {
-        let end = self
+        let bytes = self
             .pos
             .checked_add(n)
-            .filter(|&end| end <= self.buf.len())
+            .and_then(|end| self.buf.get(self.pos..end))
             .ok_or_else(|| SnapshotError::Truncated {
                 what: what.to_string(),
             })?;
-        let bytes = &self.buf[self.pos..end];
-        self.pos = end;
+        self.pos += n;
         Ok(bytes)
     }
 
+    fn array<const N: usize>(&mut self, what: &str) -> Result<[u8; N], SnapshotError> {
+        let bytes = self.take(N, what)?;
+        Ok(bytes.first_chunk().copied().unwrap_or([0; N]))
+    }
+
     fn u8(&mut self, what: &str) -> Result<u8, SnapshotError> {
-        Ok(self.take(1, what)?[0])
+        Ok(u8::from_le_bytes(self.array(what)?))
     }
 
     fn u32(&mut self, what: &str) -> Result<u32, SnapshotError> {
-        let bytes = self.take(4, what)?;
-        Ok(u32::from_le_bytes(bytes.try_into().expect("4 bytes")))
+        Ok(u32::from_le_bytes(self.array(what)?))
     }
 
     fn u64(&mut self, what: &str) -> Result<u64, SnapshotError> {
-        let bytes = self.take(8, what)?;
-        Ok(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
+        Ok(u64::from_le_bytes(self.array(what)?))
     }
 
     fn f64(&mut self, what: &str) -> Result<f64, SnapshotError> {
@@ -406,16 +497,54 @@ impl<'a> Cursor<'a> {
         Ok(n)
     }
 
+    /// A length, then that many `u64`s taken in one piece.
+    fn u64s(&mut self, what: &str) -> Result<Vec<u64>, SnapshotError> {
+        let n = self.len(what, 8)?;
+        Ok(self
+            .take(8 * n, what)?
+            .chunks_exact(8)
+            .map(le_u64)
+            .collect())
+    }
+
     fn f64s(&mut self, what: &str) -> Result<Vec<f64>, SnapshotError> {
         let n = self.len(what, 8)?;
-        (0..n).map(|_| self.f64(what)).collect()
+        let bytes = self.take(8 * n, what)?;
+        Ok(bytes
+            .chunks_exact(8)
+            .map(|word| f64::from_bits(le_u64(word)))
+            .collect())
     }
 
     fn pairs(&mut self, what: &str) -> Result<Vec<[f64; 2]>, SnapshotError> {
         let n = self.len(what, 16)?;
-        (0..n)
-            .map(|_| Ok([self.f64(what)?, self.f64(what)?]))
-            .collect()
+        let bytes = self.take(16 * n, what)?;
+        Ok(bytes
+            .chunks_exact(16)
+            .map(|pair| {
+                let (zero, one) = pair.split_at(8);
+                [f64::from_bits(le_u64(zero)), f64::from_bits(le_u64(one))]
+            })
+            .collect())
+    }
+
+    /// A version-1/2 ring — a length, then one 0/1 byte per slice,
+    /// oldest first — packed into [`EstimatorState::ring`] words, with
+    /// its slice count.
+    fn byte_ring(&mut self, what: &str) -> Result<(Vec<u64>, usize), SnapshotError> {
+        let n = self.len(what, 1)?;
+        let bytes = self.take(n, what)?;
+        if let Some(b) = bytes.iter().find(|&&b| b > 1) {
+            return Err(format_err(format!("{what}: invalid flag byte {b}")));
+        }
+        let words = bytes
+            .chunks(64)
+            .map(|slices| {
+                let word = slices.iter().fold(0, |word, &b| (word << 1) | u64::from(b));
+                word << (64 - slices.len())
+            })
+            .collect();
+        Ok((words, n))
     }
 
     /// A presence flag, then the value `read` takes when present.
@@ -431,7 +560,7 @@ impl<'a> Cursor<'a> {
         })
     }
 
-    /// An SR record (see [`put_sr`]), taken whole as bytes.
+    /// A version-1/2 SR record (see [`put_sr`]), taken whole as bytes.
     fn sr_record(&mut self, what: &str) -> Result<&'a [u8], SnapshotError> {
         let mut probe = Cursor::new(self.buf);
         probe.pos = self.pos;
@@ -483,8 +612,9 @@ pub(crate) fn write_snapshot(
     write_snapshot_versioned(service, writer, VERSION)
 }
 
-/// Version-parameterized writer: `1` reproduces the legacy CRC-free
-/// layout (kept for the backward-compat tests), `2` the current one.
+/// Version-parameterized writer: `3` writes the current layout; `1`
+/// (CRC-free) and `2` reproduce the legacy layouts for the
+/// backward-compatibility tests.
 fn write_snapshot_versioned(
     service: &FleetService,
     writer: &mut impl Write,
@@ -503,7 +633,11 @@ fn write_snapshot_versioned(
         .iter()
         .map(|c| intern(&mut table, &mut by_ptr, &c.policy))
         .collect();
-    let head = sr_head(service)?;
+    let head = if version < 3 {
+        sr_head(service)?
+    } else {
+        Vec::new()
+    };
 
     let mut meta = Vec::new();
     put_u64(&mut meta, service.epoch);
@@ -528,30 +662,19 @@ fn write_snapshot_versioned(
 
     let mut devices = Vec::new();
     put_u64(&mut devices, service.devices.len() as u64);
-    for (i, device) in service.devices.iter().enumerate() {
-        put_u64(&mut devices, service.ids[i].0);
+    for ((device, id), &policy) in service.devices.iter().zip(&service.ids).zip(&device_policy) {
+        put_u64(&mut devices, id.0);
         put_u64(&mut devices, device.class as u64);
         put_u64(
             &mut devices,
             device.cluster.map_or(NO_CLUSTER, |c| c as u64),
         );
-        put_u64(&mut devices, device_policy[i]);
-        put_opt(&mut devices, device.estimator.last_fit(), |buf, fit| {
-            put_sr(buf, &head, fit);
-        });
-        let state = device.estimator.export_state();
-        put_pairs(&mut devices, &state.counts);
-        put_u64(&mut devices, state.state as u64);
-        put_u64(&mut devices, state.observed);
-        put_u64(&mut devices, state.ring.len() as u64);
-        for &bit in &state.ring {
-            put_bool(&mut devices, bit);
+        put_u64(&mut devices, policy);
+        if version >= 3 {
+            put_estimator(&mut devices, &device.estimator);
+        } else {
+            put_legacy_estimator(&mut devices, &head, &device.estimator);
         }
-        put_f64(&mut devices, 1.0);
-        put_opt(&mut devices, state.last_fit.as_deref(), put_f64s);
-        put_opt(&mut devices, state.divergence, put_f64);
-        put_bool(&mut devices, false);
-        put_opt(&mut devices, state.counts_at_fit.as_deref(), put_pairs);
         if version >= 2 {
             devices.push(match device.health {
                 DeviceHealth::Healthy => 0,
@@ -565,16 +688,18 @@ fn write_snapshot_versioned(
 
     let mut clusters = Vec::new();
     put_u64(&mut clusters, service.clusters.len() as u64);
-    for (c, cluster) in service.clusters.iter().enumerate() {
+    for (cluster, &policy) in service.clusters.iter().zip(&cluster_policy) {
         put_u64(&mut clusters, cluster.class as u64);
         put_u64(&mut clusters, cluster.members.len() as u64);
         for &m in &cluster.members {
             put_u64(&mut clusters, m as u64);
         }
         put_f64s(&mut clusters, &cluster.representative);
-        put_sr(&mut clusters, &head, &cluster.representative);
+        if version < 3 {
+            put_sr(&mut clusters, &head, &cluster.representative);
+        }
         put_opt(&mut clusters, cluster.last_solved.as_deref(), put_f64s);
-        put_u64(&mut clusters, cluster_policy[c]);
+        put_u64(&mut clusters, policy);
         put_opt(&mut clusters, cluster.power, put_f64);
         put_u64(&mut clusters, cluster.since_solve);
         if version >= 2 {
@@ -585,24 +710,72 @@ fn write_snapshot_versioned(
 
     writer.write_all(MAGIC)?;
     writer.write_all(&version.to_le_bytes())?;
-    let empty = Vec::new();
     for (tag, payload) in [
-        (TAG_META, &meta),
+        (TAG_META, meta.as_slice()),
         (TAG_POLICIES, &policies),
         (TAG_DEVICES, &devices),
         (TAG_CLUSTERS, &clusters),
-        (TAG_END, &empty),
+        (TAG_END, &[]),
     ] {
-        let mut frame = Vec::with_capacity(12 + payload.len());
-        frame.extend_from_slice(&tag.to_le_bytes());
-        frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        frame.extend_from_slice(payload);
-        writer.write_all(&frame)?;
+        // The frame is written in its three pieces and hashed as it
+        // goes, never copied into one buffer.
+        let mut crc = Crc32::new();
+        for piece in [
+            tag.to_le_bytes().as_slice(),
+            &(payload.len() as u64).to_le_bytes(),
+            payload,
+        ] {
+            writer.write_all(piece)?;
+            crc.update(piece);
+        }
         if version >= 2 {
-            writer.write_all(&crc32(&frame).to_le_bytes())?;
+            writer.write_all(&crc.finish().to_le_bytes())?;
         }
     }
     Ok(())
+}
+
+/// A version-3 device's estimator fields, read through the estimator's
+/// borrowing accessors: nothing is copied out first.
+fn put_estimator(buf: &mut Vec<u8>, estimator: &WindowedEstimator) {
+    put_pairs(buf, estimator.counts());
+    put_u64(buf, estimator.history() as u64);
+    put_u64(buf, estimator.observed());
+    let ring = estimator.ring_words();
+    put_u64(buf, ring.len() as u64);
+    for word in ring {
+        put_u64(buf, word);
+    }
+    put_opt(buf, estimator.last_fit(), put_f64s);
+    put_opt(buf, estimator.divergence(), put_f64);
+    put_opt(buf, estimator.counts_at_fit(), |buf, counts| {
+        put_pairs(buf, counts.iter().copied());
+    });
+}
+
+/// A version-1/2 device's estimator fields: the fitted SR record first,
+/// a byte per ring slice, the retired window weight and blend prior.
+fn put_legacy_estimator(buf: &mut Vec<u8>, head: &[u8], estimator: &WindowedEstimator) {
+    put_opt(buf, estimator.last_fit(), |buf, fit| put_sr(buf, head, fit));
+    put_pairs(buf, estimator.counts());
+    put_u64(buf, estimator.history() as u64);
+    put_u64(buf, estimator.observed());
+    let WindowKind::Sliding(window) = estimator.window();
+    let held = estimator.observed().min(window as u64);
+    put_u64(buf, held);
+    let slices = estimator
+        .ring_words()
+        .flat_map(|word| (0..64).rev().map(move |bit| (word >> bit) & 1 == 1));
+    for slice in slices.take(held as usize) {
+        put_bool(buf, slice);
+    }
+    put_f64(buf, 1.0);
+    put_opt(buf, estimator.last_fit(), put_f64s);
+    put_opt(buf, estimator.divergence(), put_f64);
+    put_bool(buf, false);
+    put_opt(buf, estimator.counts_at_fit(), |buf, counts| {
+        put_pairs(buf, counts.iter().copied());
+    });
 }
 
 // ---------------------------------------------------------------------
@@ -618,7 +791,6 @@ pub(crate) fn read_snapshot(
     let mut bytes = Vec::new();
     reader.read_to_end(&mut bytes)?;
     let bytes = bytes.as_slice();
-    let head = sr_head(service)?;
     let mut top = Cursor::new(bytes);
     let magic = top.take(8, "magic")?;
     if magic != MAGIC {
@@ -638,14 +810,19 @@ pub(crate) fn read_snapshot(
     }
     let mut sections: BTreeMap<u32, &[u8]> = BTreeMap::new();
     loop {
-        let frame_start = top.pos;
-        let tag = top.u32("section tag")?;
-        let len = usize::try_from(top.u64("section length")?)
+        let tag = top.array("section tag")?;
+        let len = top.array("section length")?;
+        let payload_len = usize::try_from(u64::from_le_bytes(len))
             .map_err(|_| format_err("section length overflows usize"))?;
-        let payload = top.take(len, "section payload")?;
+        let payload = top.take(payload_len, "section payload")?;
+        let tag = u32::from_le_bytes(tag);
         if version >= 2 {
             let found = top.u32("section checksum")?;
-            let expected = crc32(&bytes[frame_start..frame_start + 12 + len]);
+            let mut crc = Crc32::new();
+            for piece in [tag.to_le_bytes().as_slice(), &len, payload] {
+                crc.update(piece);
+            }
+            let expected = crc.finish();
             if found != expected {
                 return Err(SnapshotError::ChecksumMismatch {
                     tag,
@@ -655,7 +832,7 @@ pub(crate) fn read_snapshot(
             }
         }
         if tag == TAG_END {
-            if len != 0 {
+            if payload_len != 0 {
                 return Err(format_err("end marker carries a payload"));
             }
             break;
@@ -725,7 +902,16 @@ pub(crate) fn read_snapshot(
     }
     cur.finish("POLICIES")?;
 
-    // DEVICES: estimators, fits, cluster assignments, ids.
+    // DEVICES: estimators, fits, cluster assignments, ids. Every device
+    // starts from a clone of one empty estimator: the estimator
+    // configuration is the fleet's, whatever the class.
+    let head = if version < 3 {
+        sr_head(service)?
+    } else {
+        Vec::new()
+    };
+    let empty = service.config.base.estimator()?;
+    let WindowKind::Sliding(window) = empty.window();
     let devices_bytes = section(TAG_DEVICES, "DEVICES")?;
     let mut cur = Cursor::new(devices_bytes);
     let ndevices = cur.len("device count", 1)?;
@@ -764,26 +950,11 @@ pub(crate) fn read_snapshot(
             .ok()
             .and_then(|p| table.get(p))
             .ok_or_else(|| format_err(format!("device {d} references an unknown policy")))?;
-        let fit = cur.opt("device fit", Cursor::sr_record)?;
-        let counts = cur.pairs("estimator counts")?;
-        let state = usize::try_from(cur.u64("estimator state")?)
-            .map_err(|_| format_err("estimator state overflows usize"))?;
-        let observed = cur.u64("estimator observed")?;
-        let ring_len = cur.len("estimator ring", 1)?;
-        let mut ring = Vec::with_capacity(ring_len);
-        for _ in 0..ring_len {
-            ring.push(cur.bool("estimator ring bit")?);
-        }
-        cur.f64("estimator weight")?;
-        let last_fit = cur.opt("estimator last fit", Cursor::f64s)?;
-        let divergence = cur.opt("estimator divergence", Cursor::f64)?;
-        if cur.opt("estimator blend prior", Cursor::pairs)?.is_some() {
-            return Err(mismatch_err(format!(
-                "device {d} carries a blend prior: it was written by a fleet that \
-                 blended consecutive fits"
-            )));
-        }
-        let counts_at_fit = cur.opt("estimator counts at fit", Cursor::pairs)?;
+        let state = if version >= 3 {
+            read_estimator(&mut cur)?
+        } else {
+            read_legacy_estimator(&mut cur, &head, window as u64, d)?
+        };
         let (health, strikes, probation_left) = if version >= 2 {
             let health = match cur.u8("device health")? {
                 0 => DeviceHealth::Healthy,
@@ -803,26 +974,8 @@ pub(crate) fn read_snapshot(
         } else {
             (DeviceHealth::Healthy, 0, 0)
         };
-        let agree = match (fit, &last_fit) {
-            (None, None) => true,
-            (Some(record), Some(flat)) => is_sr_record_of(record, &head, flat),
-            _ => false,
-        };
-        if !agree {
-            return Err(mismatch_err(format!(
-                "device {d}'s fitted model and its estimator's last fit disagree"
-            )));
-        }
-        let mut estimator = service.config.base.estimator()?;
-        estimator.import_state(EstimatorState {
-            counts,
-            state,
-            observed,
-            ring,
-            last_fit,
-            divergence,
-            counts_at_fit,
-        })?;
+        let mut estimator = empty.clone();
+        estimator.import_state(state)?;
         devices.push(Device {
             cluster,
             health,
@@ -870,12 +1023,22 @@ pub(crate) fn read_snapshot(
             }
             members.push(m);
         }
+        let device_class = &service.classes[class];
         let representative = cur.f64s("cluster representative")?;
-        if !is_sr_record_of(
-            cur.sr_record("cluster representative model")?,
-            &head,
-            &representative,
-        ) {
+        let states = device_class.extractor.num_states();
+        if representative.len() != states * states {
+            return Err(mismatch_err(format!(
+                "cluster {c}'s representative has {} entries for a {states}x{states} chain",
+                representative.len()
+            )));
+        }
+        if version < 3
+            && !is_sr_record_of(
+                cur.sr_record("cluster representative model")?,
+                &head,
+                &representative,
+            )
+        {
             return Err(mismatch_err(format!(
                 "cluster {c}'s representative model and its representative disagree"
             )));
@@ -893,7 +1056,6 @@ pub(crate) fn read_snapshot(
             (0, 0)
         };
 
-        let device_class = &service.classes[class];
         let session = match last_solved.as_ref() {
             None => device_class.base.fork()?,
             Some(solved) => {
@@ -961,12 +1123,77 @@ pub(crate) fn read_snapshot(
     Ok(report)
 }
 
+/// A version-3 device's estimator fields.
+fn read_estimator(cur: &mut Cursor<'_>) -> Result<EstimatorState, SnapshotError> {
+    Ok(EstimatorState {
+        counts: cur.pairs("estimator counts")?,
+        state: usize::try_from(cur.u64("estimator state")?)
+            .map_err(|_| format_err("estimator state overflows usize"))?,
+        observed: cur.u64("estimator observed")?,
+        ring: cur.u64s("estimator ring")?,
+        last_fit: cur.opt("estimator last fit", Cursor::f64s)?,
+        divergence: cur.opt("estimator divergence", Cursor::f64)?,
+        counts_at_fit: cur.opt("estimator counts at fit", Cursor::pairs)?,
+    })
+}
+
+/// A version-1/2 device's estimator fields (see
+/// [`put_legacy_estimator`]) for an estimator of `window` slices, its
+/// fitted SR record checked against the last fit.
+fn read_legacy_estimator(
+    cur: &mut Cursor<'_>,
+    head: &[u8],
+    window: u64,
+    d: usize,
+) -> Result<EstimatorState, SnapshotError> {
+    let fit = cur.opt("device fit", Cursor::sr_record)?;
+    let counts = cur.pairs("estimator counts")?;
+    let state = usize::try_from(cur.u64("estimator state")?)
+        .map_err(|_| format_err("estimator state overflows usize"))?;
+    let observed = cur.u64("estimator observed")?;
+    let (ring, slices) = cur.byte_ring("estimator ring")?;
+    let held = observed.min(window);
+    if slices as u64 != held {
+        return Err(mismatch_err(format!(
+            "device {d}'s ring of {slices} slices after {observed} should hold {held}"
+        )));
+    }
+    cur.f64("estimator weight")?;
+    let last_fit = cur.opt("estimator last fit", Cursor::f64s)?;
+    let divergence = cur.opt("estimator divergence", Cursor::f64)?;
+    if cur.opt("estimator blend prior", Cursor::pairs)?.is_some() {
+        return Err(mismatch_err(format!(
+            "device {d} carries a blend prior: it was written by a fleet that \
+             blended consecutive fits"
+        )));
+    }
+    let counts_at_fit = cur.opt("estimator counts at fit", Cursor::pairs)?;
+    let agree = match (fit, &last_fit) {
+        (None, None) => true,
+        (Some(record), Some(flat)) => is_sr_record_of(record, head, flat),
+        _ => false,
+    };
+    if !agree {
+        return Err(mismatch_err(format!(
+            "device {d}'s fitted model and its estimator's last fit disagree"
+        )));
+    }
+    Ok(EstimatorState {
+        counts,
+        state,
+        observed,
+        ring,
+        last_fit,
+        divergence,
+        counts_at_fit,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::service::ClassId;
-    use crate::{AdaptiveConfig, FleetConfig};
-    use dpm_trace::WindowKind;
+    use crate::{AdaptiveConfig, FleetConfig, FleetReport};
 
     /// A small service with one toy class and two devices — enough
     /// state to exercise every snapshot section.
@@ -988,10 +1215,56 @@ mod tests {
         service
     }
 
+    /// The byte-at-a-time CRC-32 that slice-by-8 replaced, kept as the
+    /// reference: table 0 alone, one lookup per byte.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let table = &CRC_TABLES[0];
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc = (crc >> 8) ^ table[((crc ^ b as u32) & 0xFF) as usize];
+        }
+        !crc
+    }
+
     #[test]
     fn crc32_matches_the_ieee_check_vector() {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn slice_by_8_matches_the_bytewise_crc() {
+        use rand::{RngCore, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xC3C3);
+        let mut buffer = vec![0u8; 1 << 20];
+        for chunk in buffer.chunks_mut(8) {
+            let word = rng.next_u64().to_le_bytes();
+            chunk.copy_from_slice(&word[..chunk.len()]);
+        }
+        // Every length up to nine words from each of eight alignments.
+        for start in 0..8 {
+            for len in 0..=72 {
+                let bytes = &buffer[start..start + len];
+                assert_eq!(
+                    crc32(bytes),
+                    crc32_bytewise(bytes),
+                    "start {start}, length {len}"
+                );
+            }
+        }
+        assert_eq!(crc32(&buffer), crc32_bytewise(&buffer), "1 MiB");
+        // Fed in uneven pieces, the running CRC is the one-shot CRC.
+        let mut crc = Crc32::new();
+        let mut rest = &buffer[..100_003];
+        let mut piece = 1;
+        while !rest.is_empty() {
+            let (head, tail) = rest.split_at(piece.min(rest.len()));
+            crc.update(head);
+            rest = tail;
+            piece = piece * 7 % 61 + 1;
+        }
+        assert_eq!(crc.finish(), crc32_bytewise(&buffer[..100_003]));
     }
 
     /// Runs `epochs` epochs feeding every device the same periodic
@@ -1014,7 +1287,13 @@ mod tests {
         bytes
     }
 
-    /// Re-frames a version-2 snapshot with the payload of its section
+    fn versioned_bytes(service: &FleetService, version: u32) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        write_snapshot_versioned(service, &mut bytes, version).expect("writes");
+        bytes
+    }
+
+    /// Re-frames a version-2 or -3 snapshot with the payload of its section
     /// `section` (a tag) passed through `edit`, recomputing every CRC.
     fn edit_section(snapshot: &[u8], section: u32, edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
         let mut out = snapshot[..12].to_vec();
@@ -1077,8 +1356,7 @@ mod tests {
     fn version_1_snapshots_remain_readable() {
         let mut source = service();
         run(&mut source, 3);
-        let mut v1 = Vec::new();
-        write_snapshot_versioned(&source, &mut v1, 1).expect("v1 writes");
+        let v1 = versioned_bytes(&source, 1);
         let mut target = service();
         let report = read_snapshot(&mut target, &mut v1.as_slice()).expect("v1 restores");
         assert_eq!(report.devices, 2);
@@ -1090,15 +1368,22 @@ mod tests {
             );
             assert_eq!(target.devices[d].strikes, 0);
         }
-        let mut again = Vec::new();
-        write_snapshot_versioned(&target, &mut again, 1).expect("v1 writes");
-        assert_eq!(again, v1, "a v1 snapshot round-trips byte for byte");
+        assert_eq!(
+            versioned_bytes(&target, 1),
+            v1,
+            "a v1 snapshot round-trips byte for byte"
+        );
 
-        // A non-blending fleet's v2 snapshot round-trips byte for byte.
-        let v2 = checkpoint_bytes(&source);
+        // A non-blending fleet's v2 and v3 snapshots round-trip byte for
+        // byte, and restore the same service.
+        let v2 = versioned_bytes(&source, 2);
+        let v3 = checkpoint_bytes(&source);
         let mut target = service();
         read_snapshot(&mut target, &mut v2.as_slice()).expect("v2 restores");
-        assert_eq!(checkpoint_bytes(&target), v2);
+        assert_eq!(versioned_bytes(&target, 2), v2);
+        assert_eq!(checkpoint_bytes(&target), v3);
+        read_snapshot(&mut target, &mut v3.as_slice()).expect("v3 restores");
+        assert_eq!(checkpoint_bytes(&target), v3);
 
         // A device record carrying a blend prior was written by a fleet
         // that blended its fits: refused, and the target is untouched.
@@ -1107,7 +1392,7 @@ mod tests {
             assert_eq!(devices[at], 0, "the writer emits no blend prior");
             devices[at] = 1;
             let mut prior = Vec::new();
-            put_pairs(&mut prior, &[[1.0, 2.0], [3.0, 4.0]]);
+            put_pairs(&mut prior, [[1.0, 2.0], [3.0, 4.0]].into_iter());
             devices.splice(at + 1..at + 1, prior);
         });
         run(&mut target, 1);
@@ -1126,11 +1411,169 @@ mod tests {
         read_snapshot(&mut target, &mut unblended.as_slice()).expect("v2 restores");
     }
 
+    /// A fleet of 36 devices of the toy class whose windows end in every
+    /// state the v3 codec must carry: devices added in three waves (so
+    /// windows hold fewer slices than they can, and the ring heads sit
+    /// off word boundaries), one never fed (no fit, an empty ring), one
+    /// fed a single slice, streams in two regimes (several clusters) and
+    /// a removal mid-run.
+    fn varied_fleet() -> (FleetService, Vec<Vec<u32>>) {
+        let mut service = FleetService::new(
+            FleetConfig::new().adaptive(
+                AdaptiveConfig::new()
+                    .memory(1)
+                    .smoothing(0.5)
+                    .horizon(2_000.0)
+                    .window(WindowKind::Sliding(200)),
+            ),
+        );
+        let class = service
+            .register_class(&dpm_systems::toy::example_system().expect("toy system"))
+            .expect("class registers");
+        let streams: Vec<Vec<u32>> = (0..4)
+            .map(|epoch| {
+                (0..37)
+                    .map(|i| u32::from((i + epoch) % (2 + epoch % 3) == 0))
+                    .collect()
+            })
+            .collect();
+        for epoch in 0..6 {
+            if epoch % 2 == 0 {
+                for _ in 0..12 {
+                    service.add_device(class).expect("device adds");
+                }
+            }
+            if epoch == 3 {
+                let third = service.device_ids()[2];
+                service.remove_device(third).expect("device removes");
+            }
+            let arrivals: Vec<_> = service
+                .device_ids()
+                .iter()
+                .enumerate()
+                .filter(|&(d, _)| d != 0)
+                .map(|(d, &id)| match d {
+                    1 => (id, vec![1]),
+                    _ => (id, streams[(d + epoch) % streams.len()].clone()),
+                })
+                .collect();
+            service.run_epoch(&arrivals).expect("epoch runs");
+        }
+        (service, streams)
+    }
+
+    /// Runs three epochs on `service` and returns their reports.
+    fn next_reports(service: &mut FleetService, streams: &[Vec<u32>]) -> Vec<FleetReport> {
+        (0..3)
+            .map(|epoch| {
+                let arrivals: Vec<_> = service
+                    .device_ids()
+                    .iter()
+                    .enumerate()
+                    .map(|(d, &id)| (id, streams[(d * 3 + epoch) % streams.len()].clone()))
+                    .collect();
+                service.run_epoch(&arrivals).expect("epoch runs")
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_version_restores_to_the_same_continuation() {
+        let (source, streams) = varied_fleet();
+        let rings: Vec<usize> = source
+            .devices
+            .iter()
+            .map(|d| d.estimator.ring_words().len())
+            .collect();
+        assert!(rings.contains(&0) && rings.contains(&1) && rings.contains(&4));
+        assert!(
+            source.clusters.len() > 1,
+            "{} clusters",
+            source.clusters.len()
+        );
+        let restored = |bytes: &[u8]| {
+            let (mut target, _) = varied_fleet();
+            read_snapshot(&mut target, &mut &bytes[..]).expect("restores");
+            target
+        };
+        let v3 = checkpoint_bytes(&source);
+        let mut from_v3 = restored(&v3);
+        assert_eq!(checkpoint_bytes(&from_v3), v3);
+        let expected = next_reports(&mut from_v3, &streams);
+        for version in [1, 2] {
+            let mut target = restored(&versioned_bytes(&source, version));
+            assert_eq!(
+                checkpoint_bytes(&target),
+                v3,
+                "v{version} restores the service v3 does"
+            );
+            assert_eq!(
+                next_reports(&mut target, &streams),
+                expected,
+                "v{version}: the next three epochs"
+            );
+        }
+        // The v3 snapshot drops the SR records, a byte per ring slice
+        // and the retired fields.
+        let v2 = versioned_bytes(&source, 2);
+        assert!(v3.len() < v2.len(), "v3 {} vs v2 {}", v3.len(), v2.len());
+    }
+
+    #[test]
+    fn a_ring_padding_bit_is_refused() {
+        let (source, _) = varied_fleet();
+        let v3 = checkpoint_bytes(&source);
+        // Device 1 was fed one slice per epoch: its ring is one word of
+        // a few slices, the rest padding.
+        let padded = edit_section(&v3, TAG_DEVICES, |devices| {
+            let mut cur = Cursor::new(devices);
+            let read = |field: Result<u64, SnapshotError>| field.expect("device decodes");
+            read(cur.u64("device count"));
+            for _ in 0..2 {
+                for what in ["id", "class", "cluster", "policy"] {
+                    read(cur.u64(what));
+                }
+                cur.pairs("counts").expect("counts decode");
+                read(cur.u64("state"));
+                let observed = read(cur.u64("observed"));
+                let words = read(cur.u64("ring words"));
+                if words == 1 {
+                    assert!(observed < 64, "device 1 holds {observed} slices");
+                    let last = cur.pos + 7;
+                    devices[last] |= 1;
+                    return;
+                }
+                cur.take(8 * words as usize, "ring").expect("ring decodes");
+                cur.opt("last fit", Cursor::f64s).expect("fit decodes");
+                cur.opt("divergence", Cursor::f64)
+                    .expect("divergence decodes");
+                cur.opt("counts at fit", Cursor::pairs)
+                    .expect("counts decode");
+                cur.take(13, "health").expect("health decodes");
+            }
+            panic!("no device holds a one-word ring");
+        });
+        let (mut target, _) = varied_fleet();
+        let before = checkpoint_bytes(&target);
+        let err = read_snapshot(&mut target, &mut padded.as_slice())
+            .expect_err("a padding bit must be refused");
+        assert!(
+            matches!(err, SnapshotError::Dpm(DpmError::BadConfiguration { .. })),
+            "{err}"
+        );
+        assert_eq!(
+            checkpoint_bytes(&target),
+            before,
+            "the refusal changed the service"
+        );
+        read_snapshot(&mut target, &mut v3.as_slice()).expect("the untouched snapshot restores");
+    }
+
     #[test]
     fn a_fit_that_disagrees_with_its_estimator_is_refused() {
         let mut source = service();
         run(&mut source, 3);
-        let v2 = checkpoint_bytes(&source);
+        let v2 = versioned_bytes(&source, 2);
         // One bit of the estimator's last fit flipped, and the last fit
         // dropped while the fitted model stays.
         let flipped = edit_section(&v2, TAG_DEVICES, |devices| {
@@ -1242,7 +1685,7 @@ mod tests {
 
     #[test]
     fn a_cluster_model_that_disagrees_with_its_representative_is_refused() {
-        let v2 = checkpoint_bytes(&two_of_six_clustered());
+        let v2 = versioned_bytes(&two_of_six_clustered(), 2);
         // Row 1 of cluster 0's representative-model record, its two
         // probabilities swapped: still a stochastic matrix, but not the
         // representative's model.
@@ -1280,14 +1723,14 @@ mod tests {
         let source = service();
         let mut snapshot = Vec::new();
         write_snapshot(&source, &mut snapshot).expect("writes");
-        snapshot[8..12].copy_from_slice(&3u32.to_le_bytes());
+        snapshot[8..12].copy_from_slice(&4u32.to_le_bytes());
         let mut target = service();
         let err = read_snapshot(&mut target, &mut snapshot.as_slice())
-            .expect_err("a version-3 snapshot must be refused");
+            .expect_err("a version-4 snapshot must be refused");
         assert!(
             matches!(
                 err,
-                SnapshotError::UnsupportedVersion { found: 3, newest } if newest == VERSION
+                SnapshotError::UnsupportedVersion { found: 4, newest } if newest == VERSION
             ),
             "{err}"
         );
@@ -1295,24 +1738,27 @@ mod tests {
 
     #[test]
     fn any_flipped_byte_is_a_checksum_mismatch() {
-        let source = service();
-        let mut snapshot = Vec::new();
-        write_snapshot(&source, &mut snapshot).expect("writes");
-        // Flip one byte in every region past the header: tag, length,
-        // payload and the stored CRC itself all must be caught.
-        for at in [12, 20, 40, snapshot.len() / 2, snapshot.len() - 1] {
-            let mut damaged = snapshot.clone();
-            damaged[at] ^= 0x40;
-            let mut target = service();
-            let err = read_snapshot(&mut target, &mut damaged.as_slice())
-                .expect_err("a flipped byte must be rejected");
-            assert!(
-                matches!(
-                    err,
-                    SnapshotError::ChecksumMismatch { .. } | SnapshotError::Truncated { .. }
-                ),
-                "flip at {at}: {err}"
-            );
+        let mut source = service();
+        run(&mut source, 3);
+        for version in [2, VERSION] {
+            let snapshot = versioned_bytes(&source, version);
+            // Flip one byte in every region past the header: tag,
+            // length, payload and the stored CRC itself all must be
+            // caught.
+            for at in [12, 20, 40, snapshot.len() / 2, snapshot.len() - 1] {
+                let mut damaged = snapshot.clone();
+                damaged[at] ^= 0x40;
+                let mut target = service();
+                let err = read_snapshot(&mut target, &mut damaged.as_slice())
+                    .expect_err("a flipped byte must be rejected");
+                assert!(
+                    matches!(
+                        err,
+                        SnapshotError::ChecksumMismatch { .. } | SnapshotError::Truncated { .. }
+                    ),
+                    "v{version}, flip at {at}: {err}"
+                );
+            }
         }
     }
 }

@@ -274,7 +274,7 @@ fn churn_transcript_is_pinned() {
             churn_schedule(workers),
             Hashes {
                 state: 2_016_951_588_797_486_534,
-                snapshot: 15_354_045_634_806_562_203,
+                snapshot: 10_464_212_851_053_730_989,
             },
             "at {workers} workers"
         );
@@ -288,7 +288,7 @@ fn telemetry_transcript_is_pinned() {
             telemetry_schedule(workers),
             Hashes {
                 state: 17_122_513_979_898_152_614,
-                snapshot: 894_423_346_884_713_943,
+                snapshot: 17_075_511_038_595_488_759,
             },
             "at {workers} workers"
         );

@@ -164,9 +164,12 @@ pub struct EstimatorState {
     pub state: usize,
     /// Slices observed since construction/reset.
     pub observed: u64,
-    /// Window contents: the last `min(observed, n)` slices, oldest
-    /// first.
-    pub ring: Vec<bool>,
+    /// Window contents: the last `min(observed, n)` slices, packed 64
+    /// to a `u64` with the oldest slice in the most significant bit of
+    /// the first word (the layout of the estimator's own ring), in
+    /// exactly `⌈min(observed, n) / 64⌉` words whose padding bits are
+    /// zero.
+    pub ring: Vec<u64>,
     /// Flattened transition matrix of the most recent fit, if any.
     pub last_fit: Option<Vec<f64>>,
     /// Drift gauge between the two most recent fits, if any.
@@ -326,33 +329,14 @@ impl SlidingWindow {
     }
 
     /// The window's slices, oldest first, when `observed` slices have
-    /// been fed.
-    fn bits(&self, observed: u64) -> Vec<bool> {
+    /// been fed: packed 64 to a word, the padding bits zero.
+    fn words(&self, observed: u64) -> impl ExactSizeIterator<Item = u64> + '_ {
         let held = observed.min(self.len as u64) as usize;
         let from = self.ring.bit_back(held);
-        let mut bits = Vec::with_capacity(held);
-        for offset in (0..held).step_by(64) {
-            let word = self.ring.word_at(from + offset);
-            let take = (held - offset).min(64);
-            bits.extend((0..take).map(|i| (word >> (63 - i)) & 1 == 1));
-        }
-        bits
-    }
-
-    /// Replaces the ring with `bits`, oldest first.
-    fn load(&mut self, bits: &[bool]) {
-        let slices: Vec<u32> = bits.iter().map(|&bit| u32::from(bit)).collect();
-        let mut words = Vec::new();
-        packed::pack(&slices, &mut words);
-        self.ring.clear();
-        self.ring.push(&words, slices.len());
-    }
-
-    fn counts(&self) -> Vec<[f64; 2]> {
-        self.tally
-            .iter()
-            .map(|&[zero, one]| [zero as f64, one as f64])
-            .collect()
+        (0..held.div_ceil(64)).map(move |i| {
+            let offset = 64 * i;
+            self.ring.word_at(from + offset) & packed::top((held - offset).min(64))
+        })
     }
 }
 
@@ -676,16 +660,46 @@ impl WindowedEstimator {
         Some(worst)
     }
 
+    /// The windowed transition counts, `[s→shift-in-0, s→shift-in-1]`
+    /// per history `s` — [`EstimatorState::counts`], read in place.
+    pub fn counts(&self) -> impl ExactSizeIterator<Item = [f64; 2]> + '_ {
+        self.window
+            .tally
+            .iter()
+            .map(|&[zero, one]| [zero as f64, one as f64])
+    }
+
+    /// The current k-bit history, most recent slice lowest —
+    /// [`EstimatorState::state`].
+    pub fn history(&self) -> usize {
+        self.state
+    }
+
+    /// The window's slices as packed words — [`EstimatorState::ring`],
+    /// copied a word at a time out of the ring.
+    pub fn ring_words(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
+        self.window.words(self.observed)
+    }
+
+    /// The window counts at the most recent [`Self::fit`] —
+    /// [`EstimatorState::counts_at_fit`].
+    pub fn counts_at_fit(&self) -> Option<&[[f64; 2]]> {
+        self.counts_at_fit.as_deref()
+    }
+
     /// Exports the complete streaming state for checkpointing — see
     /// [`EstimatorState`]. The configuration (extractor, window) is not
     /// included; pair the state with an identically configured estimator
-    /// on import.
+    /// on import. A writer that only serializes the state can read the
+    /// same fields in place through [`Self::counts`], [`Self::history`],
+    /// [`Self::observed`], [`Self::ring_words`], [`Self::last_fit`],
+    /// [`Self::divergence`] and [`Self::counts_at_fit`].
     pub fn export_state(&self) -> EstimatorState {
         EstimatorState {
-            counts: self.window.counts(),
+            counts: self.counts().collect(),
             state: self.state,
             observed: self.observed,
-            ring: self.window.bits(self.observed),
+            ring: self.ring_words().collect(),
             last_fit: self.last_fit.clone(),
             divergence: self.divergence,
             counts_at_fit: self.counts_at_fit.clone(),
@@ -700,9 +714,9 @@ impl WindowedEstimator {
     ///
     /// [`DpmError::BadConfiguration`] when the state's shapes do not
     /// match this estimator's configuration: wrong count-table or
-    /// fit-matrix size, a k-bit history out of range, a ring that is not
-    /// the last `min(observed, n)` slices, or counts that are not whole
-    /// numbers of at most `n`.
+    /// fit-matrix size, a k-bit history out of range, a ring of other
+    /// than `⌈min(observed, n) / 64⌉` words or with a padding bit set, or
+    /// counts that are not whole numbers of at most `n`.
     pub fn import_state(&mut self, state: EstimatorState) -> Result<(), DpmError> {
         let n = self.extractor.num_states();
         let mismatch = |reason: String| DpmError::BadConfiguration { reason };
@@ -745,19 +759,24 @@ impl WindowedEstimator {
             }
         }
         let limit = self.window.len;
-        if state.ring.len() > limit {
+        let held = state.observed.min(limit as u64) as usize;
+        if state.ring.len() != held.div_ceil(64) {
             return Err(mismatch(format!(
-                "estimator state ring of {} bits exceeds the {limit}-slice window",
-                state.ring.len()
+                "estimator state ring of {} words after {} slices should hold {held} \
+                 slices in {} words",
+                state.ring.len(),
+                state.observed,
+                held.div_ceil(64)
             )));
         }
-        let held = state.observed.min(limit as u64);
-        if state.ring.len() as u64 != held {
-            return Err(mismatch(format!(
-                "estimator state ring of {} bits after {} slices should hold {held}",
-                state.ring.len(),
-                state.observed
-            )));
+        if let Some(&last) = state.ring.last() {
+            let padding = last & !packed::top(held - 64 * (state.ring.len() - 1));
+            if padding != 0 {
+                return Err(mismatch(format!(
+                    "estimator state ring sets padding bits {padding:#x} past its \
+                     {held} slices"
+                )));
+            }
         }
         // Counts are tallies of whole transitions inside the window.
         if let Some(&bad) = state
@@ -786,7 +805,8 @@ impl WindowedEstimator {
         for (tally, &[zero, one]) in self.window.tally.iter_mut().zip(&state.counts) {
             *tally = [zero as u64, one as u64];
         }
-        self.window.load(&state.ring);
+        self.window.ring.clear();
+        self.window.ring.push(&state.ring, held);
         self.state = state.state;
         self.observed = state.observed;
         self.last_fit = state.last_fit;
@@ -1033,7 +1053,7 @@ mod tests {
         bad.state = 9;
         assert!(estimator.import_state(bad).is_err(), "history out of range");
         let mut bad = good.clone();
-        bad.ring = vec![true; 9];
+        bad.ring = vec![0; 1];
         assert!(estimator.import_state(bad).is_err(), "ring too long");
         let mut bad = good;
         bad.last_fit = Some(vec![0.5; 3]);
@@ -1115,7 +1135,7 @@ mod tests {
         let mut estimator = WindowedEstimator::new(extractor, WindowKind::Sliding(8)).unwrap();
         feed(&mut estimator, [1, 0, 1, 1, 0]);
         let good = estimator.export_state();
-        assert_eq!(good.ring.len(), 5);
+        assert_eq!(good.ring, [0b10110 << 59]);
         assert!(estimator.import_state(good.clone()).is_ok());
         let mut bad = good.clone();
         bad.ring.pop();
@@ -1124,11 +1144,20 @@ mod tests {
             "ring shorter than the stream"
         );
         let mut bad = good.clone();
+        bad.ring.push(0);
+        assert!(
+            estimator.import_state(bad).is_err(),
+            "a word more than the slices need"
+        );
+        let mut bad = good.clone();
         bad.observed = 3;
         assert!(
             estimator.import_state(bad).is_err(),
-            "ring longer than the stream"
+            "ring longer than the stream: slices in the padding"
         );
+        let mut bad = good.clone();
+        bad.ring[0] |= 1;
+        assert!(estimator.import_state(bad).is_err(), "a padding bit set");
         let mut bad = good.clone();
         bad.counts[0][1] = 0.5;
         assert!(estimator.import_state(bad).is_err(), "fractional tally");
@@ -1225,7 +1254,19 @@ mod tests {
                 counts: self.counts.clone(),
                 state: self.state,
                 observed: self.observed,
-                ring: self.ring.iter().copied().collect(),
+                ring: self
+                    .ring
+                    .iter()
+                    .enumerate()
+                    .fold(Vec::new(), |mut words, (i, &bit)| {
+                        if i % 64 == 0 {
+                            words.push(0);
+                        }
+                        if let Some(word) = words.last_mut() {
+                            *word |= u64::from(bit) << (63 - i % 64);
+                        }
+                        words
+                    }),
                 last_fit: subject.last_fit.clone(),
                 divergence: subject.divergence,
                 counts_at_fit: self.at_fit.clone(),
