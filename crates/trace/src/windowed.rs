@@ -22,7 +22,9 @@
 //! it brings in are counted over the packed words, those of the slices
 //! that leave the window are counted over the packed ring and
 //! subtracted, and the words are shifted into the ring — for any batch
-//! length, longer than the window included.
+//! length, longer than the window included. A checkpoint carries the
+//! window in the same packed words ([`EstimatorState::ring`]), copied
+//! out of the ring and pushed back into it a word at a time.
 
 use dpm_core::DpmError;
 
@@ -558,14 +560,10 @@ impl WindowedEstimator {
             });
         }
         // Both buffers are written in place: a refit allocates nothing.
-        let counts = self.counts_at_fit.get_or_insert_with(Vec::new);
+        let mut counts = self.counts_at_fit.take().unwrap_or_default();
         counts.clear();
-        counts.extend(
-            self.window
-                .tally
-                .iter()
-                .map(|&[zero, one]| [zero as f64, one as f64]),
-        );
+        counts.extend(self.counts());
+        let counts = self.counts_at_fit.insert(counts);
         let n = self.extractor.num_states();
         let refit = self.last_fit.is_some();
         let flat = self.last_fit.get_or_insert_with(|| vec![0.0; n * n]);
