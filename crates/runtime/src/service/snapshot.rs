@@ -1215,8 +1215,8 @@ mod tests {
         service
     }
 
-    /// The byte-at-a-time CRC-32 that slice-by-8 replaced, kept as the
-    /// reference: table 0 alone, one lookup per byte.
+    /// The byte-at-a-time CRC-32, the reference slice-by-8 is checked
+    /// against: table 0 alone, one lookup per byte.
     fn crc32_bytewise(bytes: &[u8]) -> u32 {
         let table = &CRC_TABLES[0];
         let mut crc = !0u32;
